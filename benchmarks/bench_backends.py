@@ -1,7 +1,7 @@
-"""Backend ablation: serial vs vectorized vs threaded vs multiprocess.
+"""Backend ablation: serial vs vectorized.
 
 Times the *executor phase* (the per-step data transport that dominates
-every paper table) under each registered backend, on two workloads:
+every paper table) under each registered backend, on three workloads:
 
 * the Table-1 CHARMM setup at 16 simulated ranks — one coordinate
   ``gather`` plus one force ``scatter_op(np.add)`` per round over the
@@ -17,14 +17,8 @@ every paper table) under each registered backend, on two workloads:
 
 All backends charge identical virtual time — the difference measured
 here is pure wall-clock interpreter cost: the serial backend walks every
-``(p, q)`` rank pair in Python, the vectorized backend executes a
-compiled flat plan with a handful of fused numpy operations, the
-threaded backend fans the vectorized per-rank kernels over its
-per-context worker pool (GIL-bound), and the multiprocess backend ships
-the same kernels to worker processes over shared-memory plan views.
-The pooled backends' ratios are advisory — they exercise the
-resource-owning backend seam end-to-end, and their wall-clock win
-scales with the cores of the benchmarking host, which CI does not pin.
+``(p, q)`` rank pair in Python, and the vectorized backend executes a
+compiled flat plan with a handful of fused numpy operations.
 """
 
 from __future__ import annotations
@@ -53,7 +47,7 @@ from repro.core import (  # noqa: E402
 from repro.sim import Machine  # noqa: E402
 
 N_RANKS = 16
-BACKENDS = ("serial", "vectorized", "threaded", "multiprocess")
+BACKENDS = ("serial", "vectorized")
 
 
 def charmm_env():
@@ -186,14 +180,12 @@ def generate_table(rounds: int = 5):
     fu_ctx0, fu_sched, fu_fields = fused_env()
     times: dict[str, dict[str, float]] = {}
     for backend in BACKENDS:
-        # one context per backend for all of its timings, so warm-up
-        # spins up the same worker pool the timed rounds use; close it
+        # one context per backend for all of its timings; close it
         # afterwards unless with_backend handed back a shared context
         md_ctx = md.ctx.with_backend(backend)
         lw_ctx = ctx.with_backend(backend)
         fu_ctx = fu_ctx0.with_backend(backend)
-        # warm once so plan compilation (and thread spin-up) is
-        # excluded from per-round times
+        # warm once so plan compilation is excluded from per-round times
         time_gather_scatter(md, md_ctx, 1)
         time_scatter_append(lw_ctx, lw_sched, values, 1)
         phases = time_gather_scatter(md, md_ctx, rounds)
@@ -212,29 +204,20 @@ def generate_table(rounds: int = 5):
         [backend] + [times[backend][col] * 1e3 for col in columns]
         for backend in BACKENDS
     ]
-    # one speedup row per non-reference backend; the vectorized keys
-    # stay unsuffixed because the regression gate reads them by name,
-    # and only the round-level metrics carry speedups (the per-phase
-    # columns are attribution detail, not gates).  ``fused_pipeline`` is
-    # fused vs unfused *on the same backend* — the fused-executor win,
-    # not the backend-vs-serial win.
-    speedups: dict[str, float] = {}
-    for backend in BACKENDS:
-        if backend == "serial":
-            continue
-        suffix = "" if backend == "vectorized" else f"_{backend}"
-        for phase in ("gather_scatter", "scatter_append"):
-            speedups[f"{phase}{suffix}"] = (
-                times["serial"][phase] / max(times[backend][phase], 1e-12)
-            )
-        speedups[f"fused_pipeline{suffix}"] = (
-            times[backend]["pipeline_unfused"]
-            / max(times[backend]["pipeline_fused"], 1e-12)
-        )
-        rows.append([f"speedup {backend} (x)", "", "",
-                     speedups[f"gather_scatter{suffix}"],
-                     speedups[f"scatter_append{suffix}"], "",
-                     speedups[f"fused_pipeline{suffix}"]])
+    # only the round-level metrics carry speedups (the per-phase columns
+    # are attribution detail, not gates).  ``fused_pipeline`` is fused vs
+    # unfused *on the vectorized backend* — the fused-executor win, not
+    # the backend-vs-serial win.
+    vec, ser = times["vectorized"], times["serial"]
+    speedups = {
+        phase: ser[phase] / max(vec[phase], 1e-12)
+        for phase in ("gather_scatter", "scatter_append")
+    }
+    speedups["fused_pipeline"] = (vec["pipeline_unfused"]
+                                  / max(vec["pipeline_fused"], 1e-12))
+    rows.append(["speedup vectorized (x)", "", "",
+                 speedups["gather_scatter"], speedups["scatter_append"], "",
+                 speedups["fused_pipeline"]])
     print_table(
         f"Backend ablation: executor wall-clock at P={N_RANKS} "
         f"(ms per round, best of {rounds})",

@@ -158,12 +158,11 @@ class ChaosRuntime:
     default backend is resolved at init.  The context's backend runs
     every phase — index analysis, schedule generation, translation
     lookups, and executor data transport; hash tables are created with
-    its key store, so serial vs vectorized vs threaded is selectable
-    end-to-end.
+    its key store, so serial vs vectorized is selectable end-to-end.
 
     The runtime *owns the context's lifecycle*: :meth:`close` (or use
-    as a ``with`` block) tears down the backend's per-context resources
-    — the threaded backend's worker pool first of all.  Closing is
+    as a ``with`` block) tears down the backend's per-context
+    resources.  Closing is
     idempotent; runtimes sharing one context share its resources, so
     whichever owner closes first closes for all.
 

@@ -1,13 +1,9 @@
 """Pluggable executor backends.
 
-Importing this package registers the four built-in backends:
+Importing this package registers the two built-in backends:
 
 * ``serial`` — reference pair-loop semantics,
-* ``vectorized`` — compiled flat plans (the default),
-* ``threaded`` — vectorized kernels with the rank loops fanned out over
-  a per-context worker *thread* pool,
-* ``multiprocess`` — the same kernels shipped to worker *processes*
-  over shared-memory views of the compiled plan buffers.
+* ``vectorized`` — compiled flat plans (the default).
 
 Selection happens through the
 :class:`~repro.core.context.ExecutionContext` every primitive takes
@@ -31,18 +27,14 @@ from repro.core.backends.base import (
     set_default_backend,
     use_backend,
 )
-from repro.core.backends.multiprocess import MultiprocessBackend
 from repro.core.backends.serial import SerialBackend
-from repro.core.backends.threaded import ThreadedBackend
 from repro.core.backends.vectorized import VectorizedBackend
 
 __all__ = [
     "BACKEND_ENV_VAR",
     "Backend",
     "BackendResources",
-    "MultiprocessBackend",
     "SerialBackend",
-    "ThreadedBackend",
     "VectorizedBackend",
     "available_backends",
     "default_backend",

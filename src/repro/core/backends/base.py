@@ -18,27 +18,21 @@ so every backend sees pre-validated inputs and only has to do the work
 and charge the machine.  Backend methods receive that same context as
 their first argument (``ctx.machine`` is the machine to charge).
 
-Four implementations ship with the runtime:
+Two implementations ship with the runtime:
 
 * ``serial`` — the reference semantics: a Python dict operation per hash
   key, a Python loop per communicating ``(p, q)`` rank pair;
 * ``vectorized`` — the default: a batched open-addressed key store,
   argsort/bincount schedule grouping, count-matrix communication
   accounting (:meth:`Machine.exchange_compiled`), and compiled flat
-  executor plans (:mod:`repro.core.compiled`);
-* ``threaded`` — the vectorized per-rank kernels with the rank loops of
-  the executor/lightweight/remap phases (and the owner-grouped schedule
-  build) fanned out over a per-context thread pool;
-* ``multiprocess`` — the same rank kernels executed by a per-context
-  *process* pool over shared-memory views of the compiled plan buffers
-  and rank-partitioned data, sidestepping the GIL entirely.
+  executor plans (:mod:`repro.core.compiled`).
 
 Backends are also *resource owners*: :meth:`Backend.open` creates a
-per-context :class:`BackendResources` handle (thread pools, scratch
-buffers) when an :class:`~repro.core.context.ExecutionContext` is
-constructed, and :meth:`Backend.close` tears it down deterministically
-when the owning component closes the context.  The default handle owns
-nothing, so the serial and vectorized backends pay no lifecycle cost.
+per-context :class:`BackendResources` handle when an
+:class:`~repro.core.context.ExecutionContext` is constructed, and
+:meth:`Backend.close` tears it down deterministically when the owning
+component closes the context.  The serial handle owns nothing; the
+vectorized one carries its fused-kernel registry.
 
 Backends must be *observationally identical*: same results bitwise
 (localized indices, ghost-slot assignment, schedules, executor data),
@@ -53,7 +47,6 @@ from __future__ import annotations
 
 import os
 import threading
-import weakref
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from typing import Callable
@@ -64,43 +57,18 @@ import numpy as np
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 
-def pool_width(n_ranks: int) -> int:
-    """Worker count for a rank pool: one per rank, capped by the host."""
-    return max(1, min(int(n_ranks), os.cpu_count() or 1))
-
-
-def collect_futures(futures) -> list:
-    """Await futures in submission order; clean up if any kernel fails.
-
-    On the first failure the not-yet-started futures are cancelled and
-    the in-flight ones drained, so no worker is still writing into the
-    caller's arrays (or shared buffers) after the exception propagates.
-    """
-    try:
-        return [f.result() for f in futures]
-    except BaseException:
-        for f in futures:
-            f.cancel()
-        for f in futures:
-            if not f.cancelled():
-                f.exception()
-        raise
-
-
 class BackendResources:
     """Per-context resource handle created by :meth:`Backend.open`.
 
     One handle is opened when an
     :class:`~repro.core.context.ExecutionContext` is constructed and
-    closed exactly once — by ``ctx.close()`` (usually via the owning
-    component's ``close()``), or as a garbage-collection safety net for
-    handles whose subclass registers a finalizer.  ``close()`` is
-    idempotent.  The base handle owns nothing; backends with real
-    resources (e.g. the threaded backend's worker pool) subclass it and
-    override :meth:`_release`.
+    closed exactly once, by ``ctx.close()`` (usually via the owning
+    component's ``close()``); ``close()`` is idempotent.  The base
+    handle owns no OS resources; a backend that does (worker pools,
+    scratch buffers) subclasses it and overrides :meth:`_release`.
     """
 
-    __slots__ = ("backend", "_closed", "fused_kernels", "__weakref__")
+    __slots__ = ("backend", "_closed", "fused_kernels")
 
     def __init__(self, backend: "Backend"):
         self.backend = backend
@@ -130,70 +98,6 @@ class BackendResources:
                 f"{state})")
 
 
-class PooledResources(BackendResources):
-    """Per-context worker pool plus its GC safety-net finalizer.
-
-    One audited implementation of the pool lifecycle shared by the
-    threaded and multiprocess backends: subclasses provide
-    :meth:`_make_pool`; the pool is created through :meth:`ensure_pool`
-    (eagerly at construction unless ``eager=False`` — process pools
-    defer the expensive worker launch until first use).  Deterministic
-    teardown is ``ctx.close()``; a :func:`weakref.finalize` callback
-    backs it up so a context dropped without ``close()`` cannot leak OS
-    threads or processes.  The finalizer closes over a small shared
-    state dict — never over ``self``, which would make the handle
-    immortal.  Subclasses owning more than the pool stash it in
-    ``_state`` and override :meth:`_emergency` / :meth:`_release_extra`.
-    """
-
-    __slots__ = ("n_workers", "_state", "_finalizer")
-
-    def __init__(self, owner: "Backend", n_ranks: int, eager: bool = True):
-        super().__init__(owner)
-        self.n_workers = pool_width(n_ranks)
-        self._state: dict = {"pool": None}
-        self._finalizer = weakref.finalize(
-            self, type(self)._emergency, self._state
-        )
-        if eager:
-            self.ensure_pool()
-
-    @property
-    def pool(self):
-        """The worker pool, or ``None`` when created lazily and unused."""
-        return self._state["pool"]
-
-    def ensure_pool(self):
-        """Create the pool on first use; idempotent thereafter."""
-        pool = self._state["pool"]
-        if pool is None:
-            pool = self._state["pool"] = self._make_pool()
-        return pool
-
-    def _make_pool(self):
-        """Subclass hook: build the executor the rank loops fan over."""
-        raise NotImplementedError
-
-    @staticmethod
-    def _shutdown_pool(state: dict, wait: bool) -> None:
-        pool = state.get("pool")
-        if pool is not None:
-            pool.shutdown(wait=wait, cancel_futures=not wait)
-
-    @classmethod
-    def _emergency(cls, state: dict) -> None:
-        """GC safety net (must not touch any resource-handle object)."""
-        cls._shutdown_pool(state, wait=False)
-
-    def _release(self) -> None:
-        self._finalizer.detach()
-        self._shutdown_pool(self._state, wait=True)
-        self._release_extra()
-
-    def _release_extra(self) -> None:
-        """Subclass hook: free non-pool resources after pool shutdown."""
-
-
 class Backend(ABC):
     """Inspector + executor execution strategy.
 
@@ -216,31 +120,13 @@ class Backend(ABC):
         Called once from :class:`ExecutionContext` construction; the
         returned handle rides on ``ctx.resources`` and is torn down by
         :meth:`close` when the owning component closes the context.
-        Default: an empty handle (no pools, no buffers).
+        Default: an empty handle.
         """
         return BackendResources(self)
 
     def close(self, resources: BackendResources) -> None:
         """Tear down a handle produced by :meth:`open` (idempotent)."""
         resources.close()
-
-    def _owned_resources(self, ctx, cls: type) -> BackendResources:
-        """The context's resource handle, verified owned, open, and of
-        type ``cls`` — the shared entry check of every resource-backed
-        ``_run_ranks`` implementation."""
-        res = ctx.resources
-        if not isinstance(res, cls) or res.backend is not self:
-            raise RuntimeError(
-                f"{self.name} backend invoked on a context whose resources "
-                f"it does not own; build the context with "
-                f"ExecutionContext.resolve(machine, {self.name!r})"
-            )
-        if res.closed:
-            raise RuntimeError(
-                "ExecutionContext already closed: its worker pool was shut "
-                "down; create a fresh context for new work"
-            )
-        return res
 
     # ------------------------------------------------------------------
     # inspector phase

@@ -81,6 +81,22 @@ def _flat_layout(arrays) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
     return tuple(sizes), trailing, k
 
 
+def _append_stream(plan, values, sizes, trailing, k) -> list[np.ndarray]:
+    """Per-rank append results: each rank's receive-stream slice of one
+    flat gather over the concatenated values."""
+    flat = np.concatenate(values, axis=0).reshape(-1)
+    fwd = plan.forward_flat(sizes, k)
+    dtype = np.asarray(values[0]).dtype
+    out = []
+    for p in range(plan.n_ranks):
+        sl = plan.recv_slice(p, k)
+        if sl.stop > sl.start:
+            out.append(flat[fwd[sl]].reshape((-1,) + trailing))
+        else:
+            out.append(np.zeros((0,) + trailing, dtype=dtype))
+    return out
+
+
 def _serial():
     # resolved lazily to avoid a circular import at module load
     from repro.core.backends.serial import SerialBackend
@@ -128,53 +144,6 @@ def default_fused_registry() -> dict:
     return registry
 
 
-class RankKernel:
-    """A named per-rank kernel: a closure plus its shippable payload.
-
-    In-process backends (vectorized, threaded) call it exactly like the
-    bare closure it wraps.  Backends that execute rank kernels in
-    *other processes* cannot pickle a closure; they look up
-    :attr:`name` in their module-level kernel table and rebuild the
-    same computation from the declarative payload instead:
-
-    * ``plans`` — plan-derived flat arrays (``forward_flat``,
-      ``place_stream``, ...).  Their identity is stable for the
-      compiled plan's lifetime, so they are exported to shared memory
-      once per plan and reused every call;
-    * ``data`` — per-call arrays (the concatenated rank-partitioned
-      data stream), copied into scratch shared memory each call;
-    * ``inout`` — per-rank arrays the kernel mutates in place (ghost
-      stores, scatter targets);
-    * ``consts`` — small scalars/offset vectors describing the stream
-      bounds (converted to plain tuples before crossing a process
-      boundary — no ndarray is ever pickled).
-
-    ``work`` is the total payload bytes the kernel moves machine-wide;
-    backends use it to decide whether shipping the kernel beats running
-    it inline (``work=0`` marks a kernel that must stay in the calling
-    process).
-    """
-
-    __slots__ = ("name", "fn", "work", "plans", "data", "inout", "consts")
-
-    def __init__(self, name: str, fn: Callable, *, work: int = 0,
-                 plans: dict | None = None, data: dict | None = None,
-                 inout: dict | None = None, consts: dict | None = None):
-        self.name = name
-        self.fn = fn
-        self.work = int(work)
-        self.plans = plans or {}
-        self.data = data or {}
-        self.inout = inout or {}
-        self.consts = consts or {}
-
-    def __call__(self, p: int):
-        return self.fn(p)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"RankKernel({self.name!r}, work={self.work})"
-
-
 @register_backend
 class VectorizedBackend(Backend):
     """Batched inspector + compiled-plan executor (no per-key or
@@ -189,23 +158,6 @@ class VectorizedBackend(Backend):
         res = BackendResources(self)
         res.fused_kernels = default_fused_registry()
         return res
-
-    # ------------------------------------------------------------------
-    # rank-loop execution hook
-    # ------------------------------------------------------------------
-    def _run_ranks(self, ctx, fn) -> list:
-        """Run ``fn(p)`` for every rank; results in rank order.
-
-        Every embarrassingly-parallel per-rank loop below goes through
-        this hook so :class:`~repro.core.backends.threaded.ThreadedBackend`
-        can fan it out over the worker pool in ``ctx.resources``.  The
-        closures passed here are *pure rank kernels*: they read shared
-        inputs and write only rank-``p``-owned outputs (disjoint arrays
-        or preallocated CSR slices), and never touch ``ctx.machine`` —
-        all clock/traffic charging stays with the caller, in rank order,
-        so accounting is bitwise-identical however the loop executes.
-        """
-        return [fn(p) for p in ctx.machine.ranks()]
 
     # ------------------------------------------------------------------
     # inspector phase: index analysis
@@ -268,16 +220,25 @@ class VectorizedBackend(Backend):
         machine = ctx.machine
         n = machine.n_ranks
 
-        def group_rank(p):
-            """Owner-grouped request stream for one rank (pure kernel)."""
+        counts = np.zeros((n, n), dtype=np.int64)  # [p][q]: p requests of q
+        requests: list[np.ndarray] = []   # flat, owner-ascending, per rank
+        recv_slots: list[np.ndarray] = []
+        recv_offsets: list[np.ndarray] = []
+        ghost_size = [0] * n
+        for p in machine.ranks():
+            # owner-grouped request stream for one rank
             ht = htables[p]
             sel_expr = ht.expr(expr) if isinstance(expr, str) else expr
             slots = ht.select(sel_expr, off_processor_only=True)
-            gs = ht.ghost_capacity()
+            ghost_size[p] = ht.ghost_capacity()
+            machine.charge_memops(p, ht.n_entries + 2 * slots.size,
+                                  category)
             if slots.size == 0:
                 z = np.zeros(0, dtype=np.int64)
-                crow = np.zeros(n, dtype=np.int64)
-                return ht.n_entries, 0, gs, crow, z, z
+                requests.append(z)
+                recv_slots.append(z)
+                recv_offsets.append(offsets_from_counts(counts[p]))
+                continue
             owners = ht.proc[slots]
             # owners are ranks < n: a narrow dtype makes the stable radix
             # argsort several times cheaper than on int64
@@ -286,27 +247,12 @@ class VectorizedBackend(Backend):
             else:
                 order = np.argsort(owners, kind="stable")
             slots = slots[order]
-            crow = np.bincount(owners[order], minlength=n)
+            counts[p] = np.bincount(owners[order], minlength=n)
             # fancy indexing already yields fresh arrays; the schedule
             # constructor coerces dtype only if it is not int64 yet
-            return (ht.n_entries, slots.size, gs, crow,
-                    ht.off[slots], ht.buf[slots])
-
-        grouped = self._run_ranks(ctx, group_rank)
-
-        counts = np.zeros((n, n), dtype=np.int64)  # [p][q]: p requests of q
-        requests: list[np.ndarray] = []   # flat, owner-ascending, per rank
-        recv_slots: list[np.ndarray] = []
-        recv_offsets: list[np.ndarray] = []
-        ghost_size = [0] * n
-        for p in machine.ranks():
-            n_entries, n_sel, gs, crow, req, buf = grouped[p]
-            machine.charge_memops(p, n_entries + 2 * n_sel, category)
-            ghost_size[p] = gs
-            counts[p] = crow
-            requests.append(req)
-            recv_slots.append(buf)
-            recv_offsets.append(offsets_from_counts(crow))
+            requests.append(ht.off[slots])
+            recv_slots.append(ht.buf[slots])
+            recv_offsets.append(offsets_from_counts(counts[p]))
 
         # Size exchange (schedule setup), then the request exchange —
         # charged from count matrices; the request data itself becomes
@@ -319,21 +265,18 @@ class VectorizedBackend(Backend):
                                   category=category)
         recv_totals = counts.sum(axis=0)
 
-        def concat_rank(q):
-            """One receiver's flat send buffer (pure kernel)."""
-            if recv_totals[q]:
-                return np.concatenate([
-                    requests[p][recv_offsets[p][q]:recv_offsets[p][q + 1]]
-                    for p in np.flatnonzero(counts[:, q])
-                ])
-            return np.zeros(0, dtype=np.int64)
-
-        send_indices = self._run_ranks(ctx, concat_rank)
+        send_indices = []
         send_offsets = []
         for q in machine.ranks():
             send_offsets.append(offsets_from_counts(counts[:, q]))
             if recv_totals[q]:
+                send_indices.append(np.concatenate([
+                    requests[p][recv_offsets[p][q]:recv_offsets[p][q + 1]]
+                    for p in np.flatnonzero(counts[:, q])
+                ]))
                 machine.charge_memops(q, int(recv_totals[q]), category)
+            else:
+                send_indices.append(np.zeros(0, dtype=np.int64))
         return Schedule(
             n_ranks=n,
             send_indices=send_indices,
@@ -405,26 +348,13 @@ class VectorizedBackend(Backend):
             plan.counts, [row_nbytes(np.asarray(d)) for d in data],
             tag="gather", category=category,
         )
-        # the global fancy gather runs *inside* the rank kernel, one
-        # receive-stream slice per rank, so parallel backends spread the
-        # expensive part instead of just the placement
         flat = np.concatenate(data, axis=0).reshape(-1)
         fwd = plan.forward_flat(sizes, k)
         place = plan.place_stream(k)
-
-        def place_rank(p):
+        for p in machine.ranks():
             sl = plan.recv_slice(p, k)
             if sl.stop > sl.start:
                 ghosts[p].reshape(-1)[place[sl]] = flat[fwd[sl]]
-
-        self._run_ranks(ctx, RankKernel(
-            "gather_place", place_rank,
-            work=plan.total * k * flat.dtype.itemsize,
-            plans={"fwd": fwd, "place": place},
-            data={"flat": flat},
-            inout={"ghost": ghosts},
-            consts={"k": k, "recv_base": plan.recv_base},
-        ))
         for p in machine.ranks():
             if plan.place_idx[p].size:
                 machine.charge_copyops(p, plan.place_idx[p].size, category)
@@ -450,8 +380,7 @@ class VectorizedBackend(Backend):
         flat = np.concatenate(ghosts, axis=0).reshape(-1)
         rev = plan.reverse_flat(gsizes, k)
         send = plan.send_stream(k)
-
-        def apply_rank(p):
+        for p in machine.ranks():
             sl = plan.send_slice(p, k)
             if sl.stop > sl.start:
                 seg = flat[rev[sl]]
@@ -460,15 +389,6 @@ class VectorizedBackend(Backend):
                     target[send[sl]] = seg
                 else:
                     op.at(target, send[sl], seg)
-
-        self._run_ranks(ctx, RankKernel(
-            "scatter_apply", apply_rank,
-            work=plan.total * k * flat.dtype.itemsize,
-            plans={"rev": rev, "send": send},
-            data={"flat": flat},
-            inout={"data": data},
-            consts={"k": k, "send_base": plan.send_base, "op": op},
-        ))
         for p in machine.ranks():
             if plan.send_idx[p].size:
                 machine.charge_copyops(p, plan.send_idx[p].size, category)
@@ -490,24 +410,7 @@ class VectorizedBackend(Backend):
             plan.counts, [row_nbytes(np.asarray(v)) for v in values],
             tag="scatter_append", category=category,
         )
-        flat = np.concatenate(values, axis=0).reshape(-1)
-        fwd = plan.forward_flat(sizes, k)
-        dtype = np.asarray(values[0]).dtype
-
-        def assemble_rank(p):
-            sl = plan.recv_slice(p, k)
-            if sl.stop > sl.start:
-                return flat[fwd[sl]].reshape((-1,) + trailing)
-            return np.zeros((0,) + trailing, dtype=dtype)
-
-        out = self._run_ranks(ctx, RankKernel(
-            "append_stream", assemble_rank,
-            work=plan.total * k * flat.dtype.itemsize,
-            plans={"fwd": fwd},
-            data={"flat": flat},
-            consts={"k": k, "recv_base": plan.recv_base,
-                    "trailing": trailing, "dtype": dtype},
-        ))
+        out = _append_stream(plan, values, sizes, trailing, k)
         for p in machine.ranks():
             arrived_n = int(plan.recv_base[p + 1] - plan.recv_base[p])
             from_others = arrived_n - int(plan.counts[p, p])
@@ -532,27 +435,8 @@ class VectorizedBackend(Backend):
             )
         machine.exchange_compiled(plan.counts, elem_bytes,
                                   tag="scatter_append", category=category)
-        cols = []
-        for values, (sizes, trailing, k) in zip(arrays, layouts):
-            flat = np.concatenate(values, axis=0).reshape(-1)
-            fwd = plan.forward_flat(sizes, k)
-            dtype = np.asarray(values[0]).dtype
-
-            def assemble_rank(p, flat=flat, fwd=fwd, trailing=trailing,
-                              k=k, dtype=dtype):
-                sl = plan.recv_slice(p, k)
-                if sl.stop > sl.start:
-                    return flat[fwd[sl]].reshape((-1,) + trailing)
-                return np.zeros((0,) + trailing, dtype=dtype)
-
-            cols.append(self._run_ranks(ctx, RankKernel(
-                "append_stream", assemble_rank,
-                work=plan.total * k * flat.dtype.itemsize,
-                plans={"fwd": fwd},
-                data={"flat": flat},
-                consts={"k": k, "recv_base": plan.recv_base,
-                        "trailing": trailing, "dtype": dtype},
-            )))
+        cols = [_append_stream(plan, values, sizes, trailing, k)
+                for values, (sizes, trailing, k) in zip(arrays, layouts)]
         for p in machine.ranks():
             arrived = int(plan.recv_base[p + 1] - plan.recv_base[p])
             from_others = arrived - int(plan.counts[p, p])
@@ -583,22 +467,13 @@ class VectorizedBackend(Backend):
         new_sizes = tuple(int(n) for n in plan.new_sizes)
         dtype = np.asarray(data[0]).dtype
 
-        def place_rank(p):
+        out = []
+        for p in machine.ranks():
             new_local = np.zeros((new_sizes[p],) + trailing, dtype=dtype)
             sl = cp.recv_slice(p, k)
             if sl.stop > sl.start:
                 new_local.reshape(-1)[place[sl]] = flat[fwd[sl]]
-            return new_local
-
-        out = self._run_ranks(ctx, RankKernel(
-            "remap_place", place_rank,
-            work=cp.total * k * flat.dtype.itemsize,
-            plans={"fwd": fwd, "place": place},
-            data={"flat": flat},
-            consts={"k": k, "recv_base": cp.recv_base,
-                    "new_sizes": new_sizes, "trailing": trailing,
-                    "dtype": dtype},
-        ))
+            out.append(new_local)
         for p in machine.ranks():
             if cp.place_idx[p].size:
                 machine.charge_copyops(p, cp.place_idx[p].size, category)
@@ -618,8 +493,8 @@ class VectorizedBackend(Backend):
         destination-sorted variant from the dtype registry (ascending
         stores, contiguous when dense); combining stages keep the
         unsorted ``op.at`` fold order.  Accounting is charged per stage
-        in stage order before any data moves; since rank kernels never
-        touch the machine, the clock/traffic call sequence is exactly
+        in stage order before any data moves; since the apply loop never
+        touches the machine, the clock/traffic call sequence is exactly
         the unfused one.  Inputs the flat layout cannot express fall
         back to the reference multi-pass default.
         """
@@ -643,8 +518,7 @@ class VectorizedBackend(Backend):
             trailings.append(trailing)
             flats.append(np.concatenate(
                 [np.asarray(a).reshape(-1) for a in bind.sources]))
-        combined = fused.layout(tuple(key))
-        layouts = combined.stages
+        layouts = fused.layout(tuple(key))
 
         for stage, bind in zip(stages, binds):
             self._charge_fused_stage(machine, stage, bind, category)
@@ -689,7 +563,7 @@ class VectorizedBackend(Backend):
             for st in layouts
         ]
 
-        def apply_rank(p):
+        for p in machine.ranks():
             for st, fn, flat, dflat in zip(layouts, stage_fns, flats,
                                            dest_flats):
                 lo = st.bounds[p]
@@ -704,14 +578,6 @@ class VectorizedBackend(Backend):
                              flat[st.src_index[lo:hi]])
                 else:
                     fn(flat, st, lo, hi, dst)
-
-        data = {f"fl{s}": flat for s, flat in enumerate(flats)}
-        inout = {f"io{s}": ds for s, ds in enumerate(dests)}
-        self._run_ranks(ctx, RankKernel(
-            "fused_apply", apply_rank, work=combined.work,
-            plans=combined.plans, data=data, inout=inout,
-            consts=combined.consts,
-        ))
         return results
 
     @staticmethod

@@ -281,44 +281,23 @@ class CompiledPlan:
             self._layouts[key] = out
         return out
 
-    def place_flat(self, k: int) -> list[np.ndarray]:
-        """Per-rank scalar placement indices (``place_idx`` expanded)."""
-        key = ("place", k)
-        out = self._layouts.get(key)
-        if out is None:
-            out = [_expand(a, k) for a in self.place_idx]
-            self._layouts[key] = out
-        return out
-
-    def send_flat(self, k: int) -> list[np.ndarray]:
-        """Per-rank scalar apply indices (``send_idx`` expanded)."""
-        key = ("send", k)
-        out = self._layouts.get(key)
-        if out is None:
-            out = [_expand(a, k) for a in self.send_idx]
-            self._layouts[key] = out
-        return out
-
-    # -- machine-wide streams (cached; shared-memory export surface) ----
+    # -- machine-wide streams (cached) ----------------------------------
     #
     # The concatenations below give one flat array per plan instead of a
     # per-rank list: ``place_stream`` holds the scalar placement indices
     # of the whole receive stream (rank ``p``'s segment is delimited by
     # ``recv_base[p] * k``), ``send_stream`` the scalar apply indices of
-    # the whole send stream (delimited by ``send_base[p] * k``).  Rank
-    # kernels slice them by stream bounds, so a backend that runs rank
-    # kernels in other processes can materialize each plan as a handful
-    # of stable flat buffers — cached here, they keep their identity for
-    # the plan's lifetime, which is what makes export-once-per-plan
-    # shared-memory caching sound.
+    # the whole send stream (delimited by ``send_base[p] * k``).  The
+    # executor's rank loops slice them by stream bounds, and the fused
+    # layouts compose them with the forward/reverse gathers.
 
     def place_stream(self, k: int) -> np.ndarray:
         """All ranks' scalar placement indices, receive-stream order."""
         key = ("pstream", k)
         out = self._layouts.get(key)
         if out is None:
-            parts = self.place_flat(k)
-            out = (np.concatenate(parts) if self.total
+            out = (np.concatenate([_expand(a, k) for a in self.place_idx])
+                   if self.total
                    else np.zeros(0, dtype=np.int64))
             self._layouts[key] = out
         return out
@@ -328,8 +307,8 @@ class CompiledPlan:
         key = ("sstream", k)
         out = self._layouts.get(key)
         if out is None:
-            parts = self.send_flat(k)
-            out = (np.concatenate(parts) if self.total
+            out = (np.concatenate([_expand(a, k) for a in self.send_idx])
+                   if self.total
                    else np.zeros(0, dtype=np.int64))
             self._layouts[key] = out
         return out
@@ -571,19 +550,18 @@ class _StageLayout:
     the ufunc's fold order bit for bit.
     """
 
-    __slots__ = ("mode", "k", "dtype", "op", "base", "bounds",
+    __slots__ = ("mode", "dtype", "op", "bounds",
                  "src_index", "dst_index", "sf", "sp")
 
     def __init__(self, stage: FusedStage, k: int, dtype: np.dtype,
                  sizes: tuple[int, ...]):
         plan = stage.plan
-        self.k = k
         self.dtype = dtype
         self.op = stage.op
         if stage.kind in FORWARD_KINDS:
             # local data, send order → receive stream → placement slots
             self.src_index = plan.forward_flat(sizes, k)
-            self.base = plan.recv_base
+            base = plan.recv_base
             if stage.kind == "append":
                 self.dst_index = None
                 self.mode = "fill"
@@ -595,7 +573,7 @@ class _StageLayout:
         else:
             # ghost data, receive order → send stream → local elements
             self.src_index = plan.reverse_flat(sizes, k)
-            self.base = plan.send_base
+            base = plan.send_base
             self.dst_index = plan.send_stream(k)
             if stage.op is None:
                 self.mode = "assign"
@@ -605,45 +583,7 @@ class _StageLayout:
                 self.sf = self.sp = None
         # scalar stream bounds as a plain list: the apply kernel's rank
         # loop slices with these every call
-        self.bounds = [int(b) * k for b in self.base.tolist()]
-
-
-class _FusedLayout:
-    """All per-stage layouts for one data-layout key, plus the static
-    half of the shippable rank-kernel payload.
-
-    ``plans`` (the stable index vectors, exported to shared memory once
-    per plan), ``consts`` and ``work`` depend only on the layout key, so
-    they are built here once and reused every call; the executor adds
-    the per-call halves (``data``, ``inout``) on top.
-    """
-
-    __slots__ = ("stages", "plans", "consts", "work")
-
-    def __init__(self, stages: list[_StageLayout]):
-        self.stages = stages
-        self.plans = {}
-        ks, modes, ops, bases, dense = [], [], [], [], []
-        self.work = 0
-        for s, st in enumerate(stages):
-            if st.mode == "accum":
-                self.plans[f"sf{s}"] = st.src_index
-                self.plans[f"ap{s}"] = st.dst_index
-                dense.append(False)
-            else:
-                self.plans[f"sf{s}"] = st.sf
-                if st.sp is not None:
-                    self.plans[f"ap{s}"] = st.sp
-                dense.append(st.sp is None)
-            ks.append(st.k)
-            modes.append(st.mode)
-            ops.append(None if st.op is None
-                       else getattr(st.op, "__name__", None))
-            bases.append(tuple(st.bounds))
-            self.work += st.src_index.size * st.dtype.itemsize
-        self.consts = {"n_stages": len(stages), "ks": tuple(ks),
-                       "modes": tuple(modes), "ops": tuple(ops),
-                       "bounds": tuple(bases), "dense": tuple(dense)}
+        self.bounds = [int(b) * k for b in base.tolist()]
 
 
 @dataclass
@@ -692,15 +632,15 @@ class FusedPlan:
             for mine, theirs in zip(self.stages, stages)
         )
 
-    def layout(self, key: tuple) -> _FusedLayout:
-        """Per-stage composed layouts (plus the static kernel payload)
-        for one ``((k, dtype, sizes), ...)`` key."""
+    def layout(self, key: tuple) -> list[_StageLayout]:
+        """Per-stage composed layouts for one ``((k, dtype, sizes), ...)``
+        key."""
         out = self._layouts.get(key)
         if out is None:
-            out = _FusedLayout([
+            out = [
                 _StageLayout(stage, k, np.dtype(dtype), sizes)
                 for stage, (k, dtype, sizes) in zip(self.stages, key)
-            ])
+            ]
             self._layouts[key] = out
         return out
 

@@ -13,9 +13,9 @@ collapses the plumbing:
 * ``backend`` — the *resolved* :class:`~repro.core.backends.Backend`
   executing every pipeline phase (never ``None``, never a bare name);
 * ``resources`` — the backend's per-context
-  :class:`~repro.core.backends.base.BackendResources` handle (worker
-  pools, scratch buffers), opened once at context construction and torn
-  down deterministically by :meth:`ExecutionContext.close`;
+  :class:`~repro.core.backends.base.BackendResources` handle, opened
+  once at context construction and torn down deterministically by
+  :meth:`ExecutionContext.close`;
 * per-run services — a :class:`~repro.core.reuse.ModificationRecord`,
   the :class:`~repro.core.reuse.ScheduleCache` built over it, and the
   run's RNG ``seed``.

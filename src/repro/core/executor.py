@@ -15,9 +15,8 @@ can serve many schedules.
 Every function takes an :class:`~repro.core.context.ExecutionContext`
 first; the context's *backend* (:mod:`repro.core.backends`) executes the
 transport: ``serial`` reproduces the historical pair-loop semantics,
-``vectorized`` (the default) executes a compiled flat plan with fused
-numpy operations, ``threaded`` fans the per-rank loops out over the
-context's worker pool.
+and ``vectorized`` (the default) executes a compiled flat plan with
+fused numpy operations.
 
 **Fused pipelines.**  Consecutive collectives in one loop body can run
 as a single fused pass: wrap each in a phase constructor
@@ -305,7 +304,7 @@ def fusable(phases) -> tuple[bool, str]:
     chain runs phase-by-phase instead):
 
     * combiners must be *named numpy ufuncs* (``np.add``, ...), the only
-      ops every backend can apply — and ship across process boundaries;
+      ops every backend can apply;
     * no stage may *read* an array any stage *writes* (compared by
       owning memory): the fused executor packs every stage's sources
       before applying any stage, so a later stage reading an earlier

@@ -62,12 +62,34 @@ def make_hash_tables(
     ]
 
 
-def _normalize(indices: list[np.ndarray | None]) -> list[np.ndarray]:
-    return [
-        np.zeros(0, dtype=np.int64) if x is None
-        else np.asarray(x, dtype=np.int64)
-        for x in indices
-    ]
+def as_index_arrays(arrays: list, what: str) -> list[np.ndarray]:
+    """Per-rank index arrays as int64 (``None`` is an empty array).
+
+    The shared ingest of every index-taking entry point: integer dtypes
+    are accepted, floats only when every value is exactly integral.
+    Anything else raises :class:`TypeError` naming the argument and the
+    rank, instead of silently truncating ``1.5`` to ``1``.
+    """
+    out = []
+    for p, x in enumerate(arrays):
+        if x is None:
+            out.append(np.zeros(0, dtype=np.int64))
+            continue
+        a = np.asarray(x)
+        if a.dtype.kind == "f":
+            bad = ~np.isfinite(a) | (a != np.trunc(a))
+            if bad.any():
+                raise TypeError(
+                    f"{what} on rank {p} must be integers; got non-integral "
+                    f"value {float(a[bad].flat[0])!r}"
+                )
+        elif a.dtype.kind not in "iu":
+            raise TypeError(
+                f"{what} on rank {p} must be an integer array, got dtype "
+                f"{a.dtype}"
+            )
+        out.append(a.astype(np.int64, copy=False))
+    return out
 
 
 def chaos_hash(
@@ -92,7 +114,7 @@ def chaos_hash(
     m = ctx.machine
     m.check_per_rank(htables, "hash tables")
     m.check_per_rank(indices, "indices")
-    idx = _normalize(indices)
+    idx = as_index_arrays(indices, "indices")
     return ctx.backend.chaos_hash(ctx, htables, ttable, idx, stamp, category)
 
 
@@ -176,8 +198,8 @@ def rehash_delta(
     m.check_per_rank(htables, "hash tables")
     m.check_per_rank(old_indices, "old indices")
     m.check_per_rank(new_indices, "new indices")
-    old = _normalize(old_indices)
-    new = _normalize(new_indices)
+    old = as_index_arrays(old_indices, "old indices")
+    new = as_index_arrays(new_indices, "new indices")
     uniq_old: list[np.ndarray] = []
     cnt_old: list[np.ndarray] = []
     uniq_new: list[np.ndarray] = []
@@ -272,7 +294,7 @@ def delta_rebuild_schedule(
 
     Selects the entries that *entered* ``expr``'s selection (scratch-
     stamps them and builds a small delta schedule through the backend
-    seam — all four backends for free), collects the ghost slots of
+    seam — every backend for free), collects the ghost slots of
     entries that *left*, and splices both into ``base_schedule``.  The
     result is bitwise-identical to a cold ``build_schedule`` over the
     updated tables; cost scales with the touched subset plus one
@@ -332,5 +354,5 @@ def localize_only(
     m = ctx.machine
     m.check_per_rank(htables, "hash tables")
     m.check_per_rank(indices, "indices")
-    idx = _normalize(indices)
+    idx = as_index_arrays(indices, "indices")
     return ctx.backend.localize(ctx, htables, idx, category)

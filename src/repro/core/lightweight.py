@@ -28,6 +28,7 @@ from repro.core.compiled import (
     offsets_from_counts,
 )
 from repro.core.context import ensure_context
+from repro.core.inspector import as_index_arrays
 
 
 @dataclass
@@ -104,13 +105,14 @@ def build_lightweight_schedule(
     ctx = ensure_context(ctx, "build_lightweight_schedule")
     machine = ctx.machine
     machine.check_per_rank(dest_ranks, "dest_ranks")
+    dests = as_index_arrays(dest_ranks, "dest_ranks")
     n = machine.n_ranks
     counts = np.zeros((n, n), dtype=np.int64)
     send_sel: list[np.ndarray] = []
     send_offsets: list[np.ndarray] = []
 
     for p in machine.ranks():
-        d = np.asarray(dest_ranks[p], dtype=np.int64)
+        d = dests[p]
         if d.size and (d.min() < 0 or d.max() >= n):
             bad = d[(d < 0) | (d >= n)][0]
             raise ValueError(f"destination rank {bad} out of range on rank {p}")

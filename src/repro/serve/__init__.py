@@ -20,14 +20,13 @@ concurrent programs the way a production deployment would:
   :mod:`repro.apps.jobs`.
 * :class:`JobVerdict` — the per-job record: terminal status, result or
   error + traceback, traffic/virtual-clock/cache statistics, and the
-  resource audit (context closed, shared-memory segments unlinked).
+  resource audit (context closed).
 
 Backend work executes on a thread pool via ``run_in_executor`` so the
 event loop stays responsive; admission is bounded with configurable
 backpressure; ``drain()``/``close()`` finish running jobs, reject new
 submissions, and deterministically close every context's backend
-resources — worker pools and shared-memory arenas included — riding
-the backend lifecycle hooks (``open``/``close``).
+resources through the backend lifecycle hooks (``open``/``close``).
 """
 
 from repro.serve.config import ServerConfig

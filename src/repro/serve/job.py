@@ -164,19 +164,6 @@ def collect_stats(ctx: ExecutionContext) -> dict:
     }
 
 
-def shm_segment_names(ctx: ExecutionContext) -> tuple[str, ...]:
-    """Shared-memory segments owned by the context's backend, if any.
-
-    Non-empty only for resource handles exposing an ``arena`` (the
-    multiprocess backend); recorded on the verdict before close so
-    tests can verify the segments were unlinked from ``/dev/shm``.
-    """
-    arena = getattr(ctx.resources, "arena", None)
-    if arena is None:
-        return ()
-    return tuple(arena.segment_names)
-
-
 def run_job_inline(spec: JobSpec, control: JobControl | None = None) -> Any:
     """Execute a spec solo — same context plumbing the server uses.
 

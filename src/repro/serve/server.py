@@ -8,7 +8,7 @@ exception, deadline overrun, or cancellation produces a recorded
 :class:`~repro.serve.verdict.JobVerdict` and never takes down the
 event loop or another tenant.  Backend work executes on a dedicated
 thread pool via ``run_in_executor`` so the loop stays responsive while
-kernels (and the pooled backends' own workers) grind.
+kernels grind.
 
 Concurrency structure
 ---------------------
@@ -29,9 +29,8 @@ Concurrency structure
 
 Shutdown rides the backend lifecycle hooks: ``drain()`` rejects new
 admissions, lets admitted jobs finish (or hit their deadline), awaits
-stragglers, then force-closes any context a crashed path left open —
-worker pools and shared-memory arenas included.  ``close()`` drains
-and then shuts the server's own thread pool down.
+stragglers, then force-closes any context a crashed path left open.
+``close()`` drains and then shuts the server's own thread pool down.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from repro.serve.job import (
     JobSpec,
     build_job_context,
     collect_stats,
-    shm_segment_names,
 )
 from repro.serve.verdict import TERMINAL_STATES, JobStatus, JobVerdict
 
@@ -82,8 +80,6 @@ class _Job:
     verdict: JobVerdict | None = None
     #: set from the worker thread once the per-job context exists
     ctx: ExecutionContext | None = None
-    #: set from the worker thread after the run, before the context closes
-    shm_segments: tuple[str, ...] = ()
 
 
 class JobHandle:
@@ -403,7 +399,6 @@ class ProgramServer:
                 result, status = None, JobStatus.FAILED
                 error, tb = repr(exc), _traceback.format_exc()
             stats = collect_stats(ctx)
-            job.shm_segments = shm_segment_names(ctx)
             return (status, result, error, tb, stats)
         finally:
             ctx.close()
@@ -435,7 +430,6 @@ class ProgramServer:
             started_at=job.started_at,
             finished_at=time.monotonic(),
             resources_closed=(ctx is not None and ctx.closed),
-            shm_segments=job.shm_segments,
         )
 
     def _audit_job(self, job: _Job) -> None:
@@ -444,8 +438,6 @@ class ProgramServer:
             return
         ctx = job.ctx
         job.verdict.resources_closed = ctx is None or ctx.closed
-        if not job.verdict.shm_segments:
-            job.verdict.shm_segments = job.shm_segments
 
     def leaked_contexts(self) -> list[int]:
         """Ids of jobs whose backend resources are still open."""

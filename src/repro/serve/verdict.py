@@ -41,11 +41,8 @@ class JobVerdict:
     cache occupancy — each tenant has its own machine, so the numbers
     are exact and unpolluted by neighbours.
 
-    The resource-audit fields close the isolation loop: after
-    ``drain()`` the server guarantees ``resources_closed`` is true for
-    every job, and ``shm_segments`` names the shared-memory segments
-    the job's backend created (multiprocess backend) so tests can
-    verify they were unlinked from ``/dev/shm``.
+    The resource audit closes the isolation loop: after ``drain()`` the
+    server guarantees ``resources_closed`` is true for every job.
     """
 
     job_id: int
@@ -62,7 +59,6 @@ class JobVerdict:
     started_at: float | None = None
     finished_at: float | None = None
     resources_closed: bool = False
-    shm_segments: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:

@@ -12,7 +12,7 @@ from repro.core import ExecutionContext
 from repro.sim import Machine
 
 #: every built-in backend, serial (the reference semantics) first
-ALL_BACKENDS = ("serial", "vectorized", "threaded", "multiprocess")
+ALL_BACKENDS = ("serial", "vectorized")
 
 
 def pytest_addoption(parser):

@@ -1,9 +1,8 @@
 """Backend equivalence: SerialBackend vs every other registered backend.
 
 The serial pair loop defines the semantics; the vectorized compiled-plan
-path — and the threaded/multiprocess backends fanning its rank loops
-over worker pools — must be observationally identical on randomized
-schedules (the sweep is ``conftest.ALL_BACKENDS``):
+path must be observationally identical on randomized schedules (the
+sweep is ``conftest.ALL_BACKENDS``):
 
 * bitwise-identical ghosts / local results for gather, scatter,
   scatter_op (add and maximum), scatter_append(_multi), remap_array,
@@ -217,9 +216,7 @@ def test_integer_data_equivalence(rng):
 # ---------------------------------------------------------------------
 class TestRegistry:
     def test_builtins_registered(self):
-        assert "serial" in available_backends()
-        assert "vectorized" in available_backends()
-        assert "threaded" in available_backends()
+        assert available_backends() == ("serial", "vectorized")
 
     def test_get_backend_instances(self):
         assert isinstance(get_backend("serial"), SerialBackend)

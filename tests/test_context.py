@@ -10,9 +10,12 @@ down its contract:
 * the kwarg-era surface deprecated in PR 4 (machine-first signatures,
   ``backend=`` keywords, nested pair accessors, ``from_pair_lists``)
   is *gone* — the former shim call shapes now raise :class:`TypeError`;
+* the per-context backend resource handle: components own its
+  lifecycle, retargeting opens a fresh one, same-backend variants share
+  it;
 * serial and vectorized contexts stay *bitwise equal* end-to-end on the
-  CHARMM and DSMC pipelines (results and traffic; the threaded backend
-  joins the comparison in ``test_threaded_backend.py``);
+  CHARMM, DSMC and compiled-program pipelines (results, inspector
+  output and traffic);
 * no kwarg threading or resurrected deprecated call site survives under
   ``src/repro/{core,lang,apps}`` (the same scan the CI lint gate runs).
 """
@@ -27,6 +30,7 @@ import pytest
 from repro.apps.charmm import ParallelMD, build_small_system
 from repro.apps.dsmc import CartesianGrid, DSMCConfig, ParallelDSMC
 from repro.core import (
+    BackendResources,
     ChaosRuntime,
     ExecutionContext,
     build_lightweight_schedule,
@@ -157,6 +161,50 @@ class TestCarrier:
         assert rt.backend is ctx4.backend
         assert rt.schedule_cache is ctx4.schedule_cache
         assert rt.modification_record is ctx4.record
+
+
+# ---------------------------------------------------------------------
+# backend resource lifecycle
+# ---------------------------------------------------------------------
+class TestLifecycle:
+    def test_components_own_the_lifecycle(self, rng):
+        with ChaosRuntime(
+            ExecutionContext.resolve(Machine(4), "vectorized")
+        ) as rt:
+            tt = rt.irregular_table(rng.integers(0, 4, 12))
+            rt.hash_indirection(
+                tt, split_by_block(rng.integers(0, 12, 20), rt.machine), "s"
+            )
+            rt.build_schedule(tt, "s")
+            assert not rt.ctx.closed
+        assert rt.ctx.closed
+
+        md = ParallelMD(build_small_system(40, seed=1),
+                        ExecutionContext.resolve(Machine(2), "vectorized"),
+                        update_every=2)
+        md.run(2)
+        md.close()
+        assert md.ctx.closed
+
+    def test_retarget_opens_fresh_handle(self):
+        ctx = ExecutionContext.resolve(Machine(4), "serial")
+        assert type(ctx.resources) is BackendResources
+        vec = ctx.with_backend("vectorized")
+        assert vec.resources.backend is vec.backend
+        assert vec.resources is not ctx.resources
+        # same-backend variants share the handle; closing the variant
+        # closes it for the family, closing a sibling backend does not
+        derived = vec.derive(seed=7)
+        assert derived.resources is vec.resources
+        vec.close()
+        assert derived.closed
+        assert not ctx.closed
+        ctx.close()
+
+    def test_with_backend_same_backend_is_self(self):
+        ctx = ExecutionContext.resolve(Machine(4), "vectorized")
+        assert ctx.with_backend("vectorized") is ctx
+        ctx.close()
 
 
 # ---------------------------------------------------------------------
@@ -304,6 +352,15 @@ class TestEndToEndEquivalence:
                               md_v.global_positions())
         assert np.array_equal(md_s.global_velocities(),
                               md_v.global_velocities())
+        # the inspector's localized indices and schedules agree too
+        for p in range(4):
+            assert np.array_equal(md_s.nb_i_loc[p], md_v.nb_i_loc[p])
+            assert np.array_equal(md_s.nb_j_loc[p], md_v.nb_j_loc[p])
+            assert np.array_equal(md_s.ib_loc[p], md_v.ib_loc[p])
+            assert np.array_equal(md_s.sched.send_indices[p],
+                                  md_v.sched.send_indices[p])
+            assert np.array_equal(md_s.sched.recv_slots[p],
+                                  md_v.sched.recv_slots[p])
         assert m_s.traffic.snapshot() == m_v.traffic.snapshot()
         assert m_s.traffic.messages == m_v.traffic.messages
 
@@ -324,6 +381,31 @@ class TestEndToEndEquivalence:
             assert np.array_equal(x, y)
         assert m_s.traffic.snapshot() == m_v.traffic.snapshot()
         assert m_s.traffic.messages == m_v.traffic.messages
+
+    def test_compiler_runtime_bitwise(self):
+        from repro.lang.program import ProgramInstance, compile_program
+
+        src = """
+        DECOMPOSITION reg(12)
+        REAL x(12), y(12)
+        INTEGER ia(12)
+        ALIGN x, y WITH reg
+        DISTRIBUTE reg(BLOCK)
+        FORALL i = 1, 12
+          REDUCE(SUM, x(ia(i)), y(i))
+        END FORALL
+        """
+        ia = np.arange(12, dtype=np.int64)[::-1] + 1
+        outs = {}
+        for backend in ("serial", "vectorized"):
+            with ProgramInstance(
+                compile_program(src),
+                ExecutionContext.resolve(Machine(4), backend),
+                dict(ia=ia, y=np.arange(12, dtype=float)),
+            ) as prog:
+                prog.execute()
+                outs[backend] = prog.get_array("x")
+        assert np.array_equal(outs["serial"], outs["vectorized"])
 
 
 # ---------------------------------------------------------------------

@@ -11,7 +11,7 @@ Covered here:
 
 * randomized gather + scatter_op chains (the CHARMM force pattern) and
   multi-phase remaps over one plan (the DSMC / CHARMM Phase-B pattern),
-  fused vs unfused, four ways;
+  fused vs unfused, on every backend;
 * the "multiple schedule mode" shape: two gathers from two schedules
   filling one shared table-wide ghost buffer in one pass;
 * legality fallbacks — a non-ufunc combiner and a chain whose scatter

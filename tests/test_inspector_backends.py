@@ -22,16 +22,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    BlockDistribution,
     DictKeyStore,
     ExecutionContext,
     OpenAddressedKeyStore,
     StampRegistry,
     TranslationTable,
+    build_lightweight_schedule,
     build_schedule,
     chaos_hash,
     clear_stamp,
     localize_only,
     make_hash_tables,
+    rehash_delta,
     split_by_block,
 )
 from repro.sim import Machine
@@ -342,3 +345,66 @@ class TestTranslationZeroSize:
         assert m.traffic.n_messages == 0
         assert all(o.size == 0 for o in owners)
         assert all(o.size == 0 for o in offsets)
+
+
+# ---------------------------------------------------------------------
+# index ingest: non-integral indices are rejected, never truncated
+# ---------------------------------------------------------------------
+def _ingest_env(backend):
+    m = Machine(2)
+    ctx = ExecutionContext.resolve(m, backend)
+    tt = TranslationTable(m, BlockDistribution(8, 2))
+    return ctx, tt, make_hash_tables(ctx, tt)
+
+
+def _ingest_error(fn) -> str:
+    with pytest.raises(TypeError) as info:
+        fn()
+    return str(info.value)
+
+
+def test_non_integral_indices_rejected_identically():
+    """``[0., 1.5, 7.9, 3.]`` once hashed as ``[0, 1, 4, 3]`` and
+    ``[0.9, 1.2]`` once built a schedule to ranks ``[0, 1]``; every
+    backend now raises the same TypeError at the API boundary."""
+    floats = [np.array([0.0, 1.5, 7.9, 3.0]), None]
+    errors = {}
+    for backend in BACKENDS:
+        ctx, tt, hts = _ingest_env(backend)
+        chaos_hash(ctx, hts, tt, [np.array([0, 3]), None], "s")
+        errors[backend] = (
+            _ingest_error(lambda: chaos_hash(ctx, hts, tt, floats, "t")),
+            _ingest_error(lambda: localize_only(ctx, hts, floats)),
+            _ingest_error(lambda: rehash_delta(
+                ctx, hts, tt, "s", [None, np.array([4])],
+                [None, np.array([np.inf])])),
+            _ingest_error(lambda: build_lightweight_schedule(
+                ctx, [np.array([0.9, 1.2]), np.zeros(0, dtype=np.int64)])),
+            _ingest_error(lambda: chaos_hash(
+                ctx, hts, tt, [None, np.array(["1"])], "t")),
+        )
+    assert errors["serial"][0] == (
+        "indices on rank 0 must be integers; got non-integral value 1.5")
+    assert errors["serial"][2].startswith("new indices on rank 1")
+    assert errors["serial"][3].startswith("dest_ranks on rank 0")
+    assert errors["serial"][4].startswith("indices on rank 1 must be an "
+                                          "integer array")
+    for backend in BACKENDS[1:]:
+        assert errors[backend] == errors["serial"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_integral_float_indices_accepted(backend):
+    results = []
+    for idx, dest in (
+        ([np.array([0, 1, 7, 3]), []], [np.array([1, 0]), [1]]),
+        ([np.array([0.0, 1.0, 7.0, 3.0]), []], [np.array([1.0, 0.0]), [1.0]]),
+    ):
+        ctx, tt, hts = _ingest_env(backend)
+        loc = chaos_hash(ctx, hts, tt, idx, "s")
+        lw = build_lightweight_schedule(ctx, dest)
+        results.append((loc, lw.recv_counts))
+    (loc_i, counts_i), (loc_f, counts_f) = results
+    assert [a.tolist() for a in loc_f] == [[0, 1, 4, 3], []]
+    assert all(np.array_equal(a, b) for a, b in zip(loc_i, loc_f))
+    assert np.array_equal(counts_i, counts_f)

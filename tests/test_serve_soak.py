@@ -5,12 +5,9 @@ every job family (mini-Fortran-D programs, CHARMM MD, DSMC, raw
 runtime-API callables) with at least one tenant raising mid-run and
 one exceeding its deadline.  Every surviving tenant's result must be
 bitwise-identical to a solo run of the same spec, and shutdown must
-leave no open contexts, straggler threads, or child processes.
+leave no open contexts or straggler threads.
 
-CI runs this file under ``REPRO_BACKEND=vectorized`` and
-``REPRO_BACKEND=multiprocess`` (the server job's matrix); locally it
-exercises whichever default backend the environment selects, plus the
-explicit parametrization below.
+Every job in the fleet pins the ``vectorized`` backend.
 """
 
 import asyncio
@@ -59,7 +56,7 @@ def _tenant_fleet(backend):
     return specs
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "multiprocess"])
+@pytest.mark.parametrize("backend", ["vectorized"])
 def test_soak_mixed_tenants(backend):
     specs = _tenant_fleet(backend)
 
