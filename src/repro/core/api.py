@@ -32,6 +32,7 @@ from repro.core.distribution import (
 from repro.core.executor import (
     allocate_ghosts,
     gather,
+    reduction_identity,
     scatter,
     scatter_op,
     stack_local_ghost,
@@ -495,10 +496,13 @@ class IrregularReduction:
         ``kernel(*rhs_values)`` receives the gathered right-hand-side
         element values (one array per entry of ``rhs``, in dict order) and
         must return the per-iteration contribution to
-        ``lhs[lhs_index[i]]``.
+        ``lhs[lhs_index[i]]``.  ``op`` is a combiner with a known identity
+        (:data:`~repro.core.executor.REDUCTION_IDENTITIES`); the ghost
+        accumulators start at it.
         """
         m = self.rt.machine
         sched = self.schedule
+        identity = reduction_identity(op, lhs.local[0].dtype)
         # gather every distinct rhs array once
         stacked: dict[int, list[np.ndarray]] = {}
         ghost_of: dict[int, list[np.ndarray]] = {}
@@ -508,6 +512,8 @@ class IrregularReduction:
                 ghost_of[id(da)] = g
                 stacked[id(da)] = stack_local_ghost(da.local, g)
         lhs_ghosts = self.rt.ghosts_for(sched, lhs)
+        for g in lhs_ghosts:
+            g.fill(identity)
         lhs_stacked = stack_local_ghost(lhs.local, lhs_ghosts)
         lhs_idx = self.localized(lhs_index)
         for p in m.ranks():

@@ -6,8 +6,10 @@ pipeline, spanning both halves of the inspector/executor split:
 * **inspector phase** — index analysis (``chaos_hash`` probing/insertion
   via the backend's key store), localization, schedule generation from
   stamped hash tables, and translation-table lookup accounting;
-* **executor phase** — gather, scatter, scatter-with-op, append-order
-  particle migration, and remap application.
+* **executor phase** — one method, :meth:`Backend.run_fused`, that
+  runs a chain of collectives (gather, scatter, scatter-with-op,
+  append-order particle migration, remap); each primitive is a
+  one-stage chain.
 
 The module-level functions in :mod:`repro.core.inspector`,
 :mod:`repro.core.schedule`, :mod:`repro.core.translation`,
@@ -21,11 +23,13 @@ their first argument (``ctx.machine`` is the machine to charge).
 Two implementations ship with the runtime:
 
 * ``serial`` — the reference semantics: a Python dict operation per hash
-  key, a Python loop per communicating ``(p, q)`` rank pair;
+  key, a Python loop per communicating ``(p, q)`` rank pair, and one
+  per-pair method per collective that its ``run_fused`` runs stage by
+  stage;
 * ``vectorized`` — the default: a batched open-addressed key store,
   argsort/bincount schedule grouping, count-matrix communication
-  accounting (:meth:`Machine.exchange_compiled`), and compiled flat
-  executor plans (:mod:`repro.core.compiled`).
+  accounting (:meth:`Machine.exchange_compiled`), and one composed
+  flat kernel per stage over compiled plans (:mod:`repro.core.compiled`).
 
 Backends are also *resource owners*: :meth:`Backend.open` creates a
 per-context :class:`BackendResources` handle when an
@@ -49,8 +53,6 @@ import os
 import threading
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from typing import Callable
-
 import numpy as np
 
 #: environment variable consulted for the initial default backend
@@ -178,64 +180,21 @@ class Backend(ABC):
     # executor phase
     # ------------------------------------------------------------------
     @abstractmethod
-    def gather(self, ctx, sched, data, ghosts, category: str):
-        """Fill ``ghosts`` with off-processor elements; returns ``ghosts``."""
-
-    @abstractmethod
-    def scatter(self, ctx, sched, data, ghosts, op: Callable | None,
-                category: str) -> None:
-        """Return ghost values to owners; ``op=None`` overwrites,
-        otherwise ``op.at`` combines (source-rank-ascending order)."""
-
-    @abstractmethod
-    def scatter_append(self, ctx, sched, values, category: str):
-        """Move elements to destination ranks, appending kept-local first
-        then arrivals by source rank; returns new per-rank arrays."""
-
-    @abstractmethod
-    def scatter_append_multi(self, ctx, sched, arrays, category: str):
-        """Like :meth:`scatter_append` for several aligned attribute sets
-        sharing one set of messages; returns ``out[k][p]``."""
-
-    @abstractmethod
-    def remap_array(self, ctx, plan, data, category: str):
-        """Apply a remap plan to one per-rank array set; returns new
-        arrays."""
-
     def run_fused(self, ctx, fused, binds, category: str) -> list:
-        """Execute a fused pipeline; returns one result per stage.
+        """Execute a chain of collectives; returns one result per stage.
 
+        The whole executor protocol: every primitive (gather, scatter,
+        scatter-with-op, append, remap) reaches the backend as a
+        one-stage chain, and legal multi-stage chains as one call.
         ``fused`` is a :class:`~repro.core.compiled.FusedPlan` whose
-        stage chain the executor layer has already validated and deemed
-        legal to fuse; ``binds`` aligns one
-        :class:`~repro.core.compiled.StageBind` with each stage.  Stage
-        results match the unfused primitives: ghost arrays for gather,
-        ``None`` for scatter, fresh per-rank arrays for append/remap.
-
-        This default is the *reference multi-pass implementation* (the
-        serial backend's semantics): each stage runs through its own
-        unfused primitive, in order.  One-pass backends override it but
-        must stay bitwise-identical — same results, same traffic
-        message-for-message, same per-rank clock sequences.
+        stages the executor layer has already validated; ``binds``
+        aligns one :class:`~repro.core.compiled.StageBind` with each
+        stage.  Stage results: the ghost arrays for gather, ``None`` for
+        scatter, one list of new per-rank arrays per attribute set for
+        append (``out[j][p]``), new per-rank arrays for remap.  Each
+        stage is charged as its collective — pre-copyops, one exchange,
+        post-copyops — in stage order, exactly as the serial reference.
         """
-        out = []
-        for stage, bind in zip(fused.stages, binds):
-            if stage.kind == "gather":
-                out.append(self.gather(ctx, stage.sched, bind.sources,
-                                       bind.dests, category))
-            elif stage.kind == "scatter":
-                self.scatter(ctx, stage.sched, bind.dests, bind.sources,
-                             stage.op, category)
-                out.append(None)
-            elif stage.kind == "append":
-                out.append(self.scatter_append(ctx, stage.sched,
-                                               bind.sources, category))
-            elif stage.kind == "remap":
-                out.append(self.remap_array(ctx, stage.sched,
-                                            bind.sources, category))
-            else:  # pragma: no cover - FusedPlan validates kinds
-                raise ValueError(f"unknown fused stage {stage.kind!r}")
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -12,9 +12,13 @@ never nested Python lists.
 
 Like every backend, it receives a pre-validated
 :class:`~repro.core.context.ExecutionContext` plus arguments: the
-dispatching wrappers in :mod:`repro.core.inspector`,
-:mod:`repro.core.executor` et al. perform the bounds and shape checks
-before any backend runs.
+dispatching wrappers in :mod:`repro.core.inspector` et al., and
+:func:`~repro.core.executor.run_pipeline` for every collective, perform
+the bounds and shape checks before any backend runs.  Its per-pair
+collective methods (``gather``, ``scatter``, ``scatter_append[_multi]``,
+``remap_array``) are the oracle the one-pass ``vectorized`` stage
+kernels are tested against; :meth:`SerialBackend.run_fused` runs them
+stage by stage.
 """
 
 from __future__ import annotations
@@ -363,4 +367,34 @@ class SerialBackend(Backend):
                     new_local[sel] = got
                     machine.charge_copyops(p, sel.size, category)
             out.append(new_local)
+        return out
+
+    # ------------------------------------------------------------------
+    # stage chains
+    # ------------------------------------------------------------------
+    def run_fused(self, ctx, fused, binds, category):
+        """The reference multi-pass chain: each stage runs through its
+        own per-pair primitive, in order."""
+        out = []
+        for stage, bind in zip(fused.stages, binds):
+            if stage.kind == "gather":
+                out.append(self.gather(ctx, stage.sched, bind.sources,
+                                       bind.dests, category))
+            elif stage.kind == "scatter":
+                self.scatter(ctx, stage.sched, bind.dests, bind.sources,
+                             stage.op, category)
+                out.append(None)
+            elif stage.kind == "append":
+                sets = bind.sources
+                if len(sets) == 1:
+                    out.append([self.scatter_append(ctx, stage.sched,
+                                                    sets[0], category)])
+                else:
+                    out.append(self.scatter_append_multi(
+                        ctx, stage.sched, sets, category))
+            elif stage.kind == "remap":
+                out.append(self.remap_array(ctx, stage.sched,
+                                            bind.sources, category))
+            else:  # pragma: no cover - FusedPlan validates kinds
+                raise ValueError(f"unknown fused stage {stage.kind!r}")
         return out

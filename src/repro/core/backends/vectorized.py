@@ -16,19 +16,20 @@ exchanges straight from count matrices via
 request/reply matrices the same way, with page-miss detection for
 ``paged`` storage done by ``np.isin`` against the sorted page cache.
 
-**Executor half.**  Instead of visiting every ``(p, q)`` rank pair in
-Python, this backend derives (once, cached) the machine-wide view of the
-schedule's CSR buffers — the global send-stream → receive-stream
-permutation of :mod:`repro.core.compiled` — and then executes each
-collective with O(P) numpy calls.
+**Executor half.**  The backend's one executor method is
+:meth:`VectorizedBackend.run_fused`; every collective (gather, scatter,
+scatter-with-op, append, remap) reaches it as a one-stage chain, legal
+multi-stage chains as one call.  Instead of visiting every ``(p, q)``
+rank pair in Python, it derives (once, cached) the machine-wide view of
+each schedule's CSR buffers — the global send-stream → receive-stream
+permutation of :mod:`repro.core.compiled` — and because the simulated
+machine holds every rank's data in one process, each stage's data moves
+with ONE composed flat gather.  The plan caches the composed scalar
+index vectors — pack selection ∘ global permutation ∘ row→scalar
+expansion, sorted by destination for placement — keyed by the data
+layout, so a steady-state stage is essentially
 
-The fast path goes further: because the simulated machine holds every
-rank's data in one process, a whole collective is ONE flat gather.  The
-plan caches *composed* scalar index vectors — pack selection ∘ global
-permutation ∘ row→scalar expansion — keyed by the data layout, so a
-steady-state executor round is essentially
-
-    concat(data)  →  one fancy-gather  →  per-rank placement / ufunc.at
+    concat(sources)  →  one fancy-gather  →  per-rank placement / ufunc.at
 
 Accounting goes through :meth:`Machine.exchange_compiled`, which charges
 clocks/traffic straight from the plan's count matrix.  Results are
@@ -38,12 +39,11 @@ to scalars preserves each scalar's fold order — and traffic statistics
 match message-for-message.  Inputs the flat layout cannot express
 without changing semantics (per-rank dtype or row-shape mismatches,
 where concatenation would promote values; non-contiguous arrays, where
-raveling would copy) are delegated wholesale to the serial reference.
+raveling would copy) fall back wholesale to the serial reference's
+``run_fused``.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -53,18 +53,14 @@ from repro.core.backends.base import (
     register_backend,
     row_nbytes,
 )
-from repro.core.compiled import (
-    compile_lightweight_schedule,
-    compile_remap_plan,
-    compile_schedule,
-    offsets_from_counts,
-)
+from repro.core.compiled import offsets_from_counts
 from repro.core.hashtable import OpenAddressedKeyStore
 
 
-def _flat_layout(arrays) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
-    """(leading sizes, trailing shape, row width) when every per-rank
-    array is C-contiguous with one dtype and row shape; else ``None``."""
+def _flat_layout(arrays):
+    """``(leading sizes, trailing shape, row width, dtype)`` when every
+    per-rank array is C-contiguous with one dtype and row shape; else
+    ``None``."""
     first = np.asarray(arrays[0])
     trailing = first.shape[1:]
     dtype = first.dtype
@@ -78,23 +74,7 @@ def _flat_layout(arrays) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
                 or not a.flags.c_contiguous):
             return None
         sizes.append(a.shape[0])
-    return tuple(sizes), trailing, k
-
-
-def _append_stream(plan, values, sizes, trailing, k) -> list[np.ndarray]:
-    """Per-rank append results: each rank's receive-stream slice of one
-    flat gather over the concatenated values."""
-    flat = np.concatenate(values, axis=0).reshape(-1)
-    fwd = plan.forward_flat(sizes, k)
-    dtype = np.asarray(values[0]).dtype
-    out = []
-    for p in range(plan.n_ranks):
-        sl = plan.recv_slice(p, k)
-        if sl.stop > sl.start:
-            out.append(flat[fwd[sl]].reshape((-1,) + trailing))
-        else:
-            out.append(np.zeros((0,) + trailing, dtype=dtype))
-    return out
+    return tuple(sizes), trailing, k, dtype
 
 
 def _serial():
@@ -113,11 +93,18 @@ def _fused_assign_generic(flat, st, lo, hi, dst):
     dst[st.dst_index[lo:hi]] = flat[st.src_index[lo:hi]]
 
 
+def _fused_accum(flat, st, lo, hi, dst):
+    """Combining stages: ``op.at`` through the unsorted composed pair,
+    which keeps the serial reference's fold order bit for bit."""
+    st.op.at(dst, st.dst_index[lo:hi], flat[st.src_index[lo:hi]])
+
+
 def _fused_assign_sorted(flat, st, lo, hi, dst):
     """float64/int64 fast path: the destination-sorted composed pair —
     stores land in ascending order, and when the rank's slots are dense
     the whole segment collapses to one contiguous write.  Bitwise-safe
-    because the per-segment sort is stable (see ``_sort_segments``)."""
+    because duplicate destinations keep stream order (see
+    ``_sort_segments``)."""
     seg = flat[st.sf[lo:hi]]
     if st.sp is None:
         dst[:hi - lo] = seg
@@ -331,313 +318,130 @@ class VectorizedBackend(Backend):
             m.charge_memops(h, int(served[h]), category)
 
     # ------------------------------------------------------------------
-    # regular schedules
+    # stage chains
     # ------------------------------------------------------------------
-    def gather(self, ctx, sched, data, ghosts, category):
-        machine = ctx.machine
-        plan = compile_schedule(sched)
-        layout = _flat_layout(data)
-        glayout = _flat_layout(ghosts)
-        if layout is None or glayout is None or layout[1] != glayout[1]:
-            return _serial().gather(ctx, sched, data, ghosts, category)
-        sizes, _, k = layout
-        for p in machine.ranks():
-            if plan.send_idx[p].size:
-                machine.charge_copyops(p, plan.send_idx[p].size, category)
-        machine.exchange_compiled(
-            plan.counts, [row_nbytes(np.asarray(d)) for d in data],
-            tag="gather", category=category,
-        )
-        flat = np.concatenate(data, axis=0).reshape(-1)
-        fwd = plan.forward_flat(sizes, k)
-        place = plan.place_stream(k)
-        for p in machine.ranks():
-            sl = plan.recv_slice(p, k)
-            if sl.stop > sl.start:
-                ghosts[p].reshape(-1)[place[sl]] = flat[fwd[sl]]
-        for p in machine.ranks():
-            if plan.place_idx[p].size:
-                machine.charge_copyops(p, plan.place_idx[p].size, category)
-        return ghosts
+    def run_fused(self, ctx, fused, binds, category):
+        """One-pass execution: every source set moves with a single
+        composed kernel.
 
-    def scatter(self, ctx, sched, data, ghosts, op: Callable | None,
-                category) -> None:
+        Per set the data path is one fancy gather through the composed
+        ``pack ∘ permute ∘ place`` index vector — destination slots
+        written straight from the flattened source concat, with no
+        intermediate exchange stream.  Pure-placement stages use the
+        destination-sorted variant from the dtype registry (ascending
+        stores, contiguous when dense); combining stages keep the
+        unsorted ``op.at`` fold order; append sets return their gathered
+        slices as the new arrays.  Accounting is charged per stage in
+        stage order before any data moves; since the data pass never
+        touches the machine, the clock/traffic call sequence is exactly
+        the serial one.  Sets are packed and applied one at a time, in
+        stage order, so only one source concat is alive at once.  Inputs
+        the flat layout cannot express fall back to the serial reference
+        chain.
+        """
         machine = ctx.machine
-        plan = compile_schedule(sched)
-        layout = _flat_layout(data)
-        glayout = _flat_layout(ghosts)
-        if layout is None or glayout is None or layout[1] != glayout[1]:
-            return _serial().scatter(ctx, sched, data, ghosts, op,
-                                     category)
-        gsizes, _, k = glayout
-        for p in machine.ranks():
-            if plan.place_idx[p].size:
-                machine.charge_copyops(p, plan.place_idx[p].size, category)
-        machine.exchange_compiled(
-            plan.counts.T, [row_nbytes(np.asarray(g)) for g in ghosts],
-            tag="scatter", category=category,
-        )
-        flat = np.concatenate(ghosts, axis=0).reshape(-1)
-        rev = plan.reverse_flat(gsizes, k)
-        send = plan.send_stream(k)
-        for p in machine.ranks():
-            sl = plan.send_slice(p, k)
-            if sl.stop > sl.start:
-                seg = flat[rev[sl]]
-                target = data[p].reshape(-1)
-                if op is None:
-                    target[send[sl]] = seg
-                else:
-                    op.at(target, send[sl], seg)
-        for p in machine.ranks():
-            if plan.send_idx[p].size:
-                machine.charge_copyops(p, plan.send_idx[p].size, category)
+        key = []
+        moves = []  # (sources, trailing shape) per source set
+        for stage, bind in zip(fused.stages, binds):
+            sets = bind.sources if stage.kind == "append" else (bind.sources,)
+            skey = []
+            for sources in sets:
+                layout = _flat_layout(sources)
+                if layout is None or (
+                        bind.dests is not None
+                        and (_flat_layout(bind.dests) or ())[1:] != layout[1:]):
+                    return _serial().run_fused(ctx, fused, binds, category)
+                sizes, trailing, k, dtype = layout
+                skey.append((k, dtype, sizes))
+                moves.append((sources, trailing))
+            key.append(tuple(skey))
+        layouts = iter(zip(fused.layout(tuple(key)), moves))
 
-    # ------------------------------------------------------------------
-    # light-weight schedules
-    # ------------------------------------------------------------------
-    def scatter_append(self, ctx, sched, values, category):
-        machine = ctx.machine
-        plan = compile_lightweight_schedule(sched)
-        layout = _flat_layout(values)
-        if layout is None:
-            return _serial().scatter_append(ctx, sched, values, category)
-        sizes, trailing, k = layout
-        for p in machine.ranks():
-            machine.charge_copyops(p, np.asarray(values[p]).shape[0],
+        for stage, bind in zip(fused.stages, binds):
+            _charge_stage(machine, stage, bind, category)
+
+        # dtype-specialized kernels for the pure-placement stages;
+        # combiners keep the generic ``op.at`` path (bitwise contract)
+        registry = getattr(ctx.resources, "fused_kernels", None) or {}
+        ranks = machine.ranks()
+        results = []
+        for stage, bind in zip(fused.stages, binds):
+            if stage.kind == "append":
+                sets = []
+                for _ in bind.sources:
+                    st, (sources, trailing) = next(layouts)
+                    flat = np.concatenate(sources, axis=0).reshape(-1)
+                    b, rows = st.bounds, st.row_bounds
+                    sets.append([
+                        flat[st.src_index[b[p]:b[p + 1]]].reshape(
+                            (rows[p + 1] - rows[p],) + trailing)
+                        for p in ranks
+                    ])
+                results.append(sets)
+                continue
+            st, (sources, trailing) = next(layouts)
+            flat = np.concatenate(sources, axis=0).reshape(-1)
+            if stage.kind == "remap":
+                dests = [np.zeros((int(m),) + trailing, dtype=st.dtype)
+                         for m in stage.sched.new_sizes]
+                results.append(dests)
+            else:
+                dests = bind.dests
+                results.append(dests if stage.kind == "gather" else None)
+            if st.mode == "accum":
+                kernel = _fused_accum
+            else:
+                kernel = registry.get((st.dtype, None),
+                                      _fused_assign_generic)
+            b = st.bounds
+            for p in ranks:
+                if b[p + 1] > b[p]:
+                    kernel(flat, st, b[p], b[p + 1], dests[p].reshape(-1))
+        return results
+
+
+#: the traffic tag each placing stage kind charges its exchange under
+_EXCHANGE_TAGS = {"gather": "gather", "scatter": "scatter",
+                  "remap": "remap_data"}
+
+
+def _charge_stage(machine, stage, bind, category) -> None:
+    """Charge one stage exactly like the serial collective:
+    pre-copyops, the compiled exchange, post-copyops, in that order."""
+    plan = stage.plan
+    ranks = machine.ranks()
+    if stage.kind == "append":
+        # k aligned attribute sets share one set of messages
+        sets = bind.sources
+        n_attr = len(sets)
+        for p in ranks:
+            machine.charge_copyops(p, n_attr * plan.send_idx[p].size,
                                    category)
-        machine.exchange_compiled(
-            plan.counts, [row_nbytes(np.asarray(v)) for v in values],
-            tag="scatter_append", category=category,
-        )
-        out = _append_stream(plan, values, sizes, trailing, k)
-        for p in machine.ranks():
-            arrived_n = int(plan.recv_base[p + 1] - plan.recv_base[p])
-            from_others = arrived_n - int(plan.counts[p, p])
-            if from_others:
-                machine.charge_copyops(p, from_others, category)
-        return out
-
-    def scatter_append_multi(self, ctx, sched, arrays, category):
-        machine = ctx.machine
-        plan = compile_lightweight_schedule(sched)
-        layouts = [_flat_layout(values) for values in arrays]
-        if any(layout is None for layout in layouts):
-            return _serial().scatter_append_multi(ctx, sched, arrays,
-                                                  category)
-        n_attr = len(arrays)
-        elem_bytes = np.zeros(machine.n_ranks, dtype=np.int64)
-        for p in machine.ranks():
-            for k in range(n_attr):
-                elem_bytes[p] += row_nbytes(np.asarray(arrays[k][p]))
-            machine.charge_copyops(
-                p, n_attr * plan.send_idx[p].size, category
-            )
-        machine.exchange_compiled(plan.counts, elem_bytes,
+        nbytes = [row_nbytes(np.asarray(v)) for v in sets[0]]
+        for values in sets[1:]:
+            nbytes = [b + row_nbytes(np.asarray(v))
+                      for b, v in zip(nbytes, values)]
+        machine.exchange_compiled(plan.counts, nbytes,
                                   tag="scatter_append", category=category)
-        cols = [_append_stream(plan, values, sizes, trailing, k)
-                for values, (sizes, trailing, k) in zip(arrays, layouts)]
-        for p in machine.ranks():
+        for p in ranks:
             arrived = int(plan.recv_base[p + 1] - plan.recv_base[p])
             from_others = arrived - int(plan.counts[p, p])
             if from_others:
                 machine.charge_copyops(p, n_attr * from_others, category)
-        return cols
-
-    # ------------------------------------------------------------------
-    # remap plans
-    # ------------------------------------------------------------------
-    def remap_array(self, ctx, plan, data, category):
-        machine = ctx.machine
-        cp = compile_remap_plan(plan)
-        layout = _flat_layout(data)
-        if layout is None:
-            return _serial().remap_array(ctx, plan, data, category)
-        sizes, trailing, k = layout
-        for p in machine.ranks():
-            if cp.send_idx[p].size:
-                machine.charge_copyops(p, cp.send_idx[p].size, category)
-        machine.exchange_compiled(
-            cp.counts, [row_nbytes(np.asarray(d)) for d in data],
-            tag="remap_data", category=category,
-        )
-        flat = np.concatenate(data, axis=0).reshape(-1)
-        fwd = cp.forward_flat(sizes, k)
-        place = cp.place_stream(k)
-        new_sizes = tuple(int(n) for n in plan.new_sizes)
-        dtype = np.asarray(data[0]).dtype
-
-        out = []
-        for p in machine.ranks():
-            new_local = np.zeros((new_sizes[p],) + trailing, dtype=dtype)
-            sl = cp.recv_slice(p, k)
-            if sl.stop > sl.start:
-                new_local.reshape(-1)[place[sl]] = flat[fwd[sl]]
-            out.append(new_local)
-        for p in machine.ranks():
-            if cp.place_idx[p].size:
-                machine.charge_copyops(p, cp.place_idx[p].size, category)
-        return out
-
-    # ------------------------------------------------------------------
-    # fused pipelines
-    # ------------------------------------------------------------------
-    def run_fused(self, ctx, fused, binds, category):
-        """One-pass fused execution: every stage moves its data with a
-        single composed kernel, all stages inside one rank loop.
-
-        Per stage the data path is one fancy assign through the
-        composed ``pack ∘ permute ∘ place`` index vector — destination
-        slots written straight from the flattened source concat, with
-        no intermediate exchange stream.  Pure-placement stages use the
-        destination-sorted variant from the dtype registry (ascending
-        stores, contiguous when dense); combining stages keep the
-        unsorted ``op.at`` fold order.  Accounting is charged per stage
-        in stage order before any data moves; since the apply loop never
-        touches the machine, the clock/traffic call sequence is exactly
-        the unfused one.  Inputs the flat layout cannot express fall
-        back to the reference multi-pass default.
-        """
-        machine = ctx.machine
-        stages = fused.stages
-        key = []
-        trailings = []
-        flats = []
-        for stage, bind in zip(stages, binds):
-            layout = _flat_layout(bind.sources)
-            if layout is None:
-                return super().run_fused(ctx, fused, binds, category)
-            sizes, trailing, k = layout
-            dtype = np.asarray(bind.sources[0]).dtype
-            if bind.dests is not None:
-                dlayout = _flat_layout(bind.dests)
-                if (dlayout is None or dlayout[1] != trailing
-                        or np.asarray(bind.dests[0]).dtype != dtype):
-                    return super().run_fused(ctx, fused, binds, category)
-            key.append((k, str(dtype), sizes))
-            trailings.append(trailing)
-            flats.append(np.concatenate(
-                [np.asarray(a).reshape(-1) for a in bind.sources]))
-        layouts = fused.layout(tuple(key))
-
-        for stage, bind in zip(stages, binds):
-            self._charge_fused_stage(machine, stage, bind, category)
-
-        # stage results + the per-rank arrays the apply phase writes
-        results = []
-        dests = []
-        dest_flats = []
-        for stage, bind, st, trailing in zip(stages, binds, layouts,
-                                             trailings):
-            if stage.kind == "scatter":
-                results.append(None)
-                dests.append(bind.dests)
-            elif stage.kind == "gather":
-                results.append(bind.dests)
-                dests.append(bind.dests)
-            elif stage.kind == "append":
-                base = stage.plan.recv_base
-                outs = [
-                    np.empty((int(base[p + 1] - base[p]),) + trailing,
-                             dtype=st.dtype)
-                    for p in machine.ranks()
-                ]
-                results.append(outs)
-                dests.append(outs)
-            else:  # remap
-                outs = [
-                    np.zeros((int(m),) + trailing, dtype=st.dtype)
-                    for m in stage.sched.new_sizes
-                ]
-                results.append(outs)
-                dests.append(outs)
-            dest_flats.append([np.asarray(d).reshape(-1)
-                               for d in dests[-1]])
-
-        # dtype-specialized apply kernels for the pure-placement stages;
-        # combiners keep the generic ``op.at`` path (bitwise contract)
-        registry = getattr(ctx.resources, "fused_kernels", None) or {}
-        stage_fns = [
-            registry.get((st.dtype, None), _fused_assign_generic)
-            if st.mode == "assign" else None
-            for st in layouts
-        ]
-
-        for p in machine.ranks():
-            for st, fn, flat, dflat in zip(layouts, stage_fns, flats,
-                                           dest_flats):
-                lo = st.bounds[p]
-                hi = st.bounds[p + 1]
-                if hi <= lo:
-                    continue
-                dst = dflat[p]
-                if st.mode == "fill":
-                    dst[:hi - lo] = flat[st.src_index[lo:hi]]
-                elif st.mode == "accum":
-                    st.op.at(dst, st.dst_index[lo:hi],
-                             flat[st.src_index[lo:hi]])
-                else:
-                    fn(flat, st, lo, hi, dst)
-        return results
-
-    @staticmethod
-    def _charge_fused_stage(machine, stage, bind, category) -> None:
-        """Charge one fused stage exactly like its unfused primitive:
-        pre-copyops, the compiled exchange, post-copyops, in that order."""
-        plan = stage.plan
-        if stage.kind == "gather":
-            for p in machine.ranks():
-                if plan.send_idx[p].size:
-                    machine.charge_copyops(p, plan.send_idx[p].size,
-                                           category)
-            machine.exchange_compiled(
-                plan.counts,
-                [row_nbytes(np.asarray(d)) for d in bind.sources],
-                tag="gather", category=category,
-            )
-            for p in machine.ranks():
-                if plan.place_idx[p].size:
-                    machine.charge_copyops(p, plan.place_idx[p].size,
-                                           category)
-        elif stage.kind == "scatter":
-            for p in machine.ranks():
-                if plan.place_idx[p].size:
-                    machine.charge_copyops(p, plan.place_idx[p].size,
-                                           category)
-            machine.exchange_compiled(
-                plan.counts.T,
-                [row_nbytes(np.asarray(g)) for g in bind.sources],
-                tag="scatter", category=category,
-            )
-            for p in machine.ranks():
-                if plan.send_idx[p].size:
-                    machine.charge_copyops(p, plan.send_idx[p].size,
-                                           category)
-        elif stage.kind == "append":
-            for p in machine.ranks():
-                machine.charge_copyops(
-                    p, np.asarray(bind.sources[p]).shape[0], category)
-            machine.exchange_compiled(
-                plan.counts,
-                [row_nbytes(np.asarray(v)) for v in bind.sources],
-                tag="scatter_append", category=category,
-            )
-            for p in machine.ranks():
-                arrived = int(plan.recv_base[p + 1] - plan.recv_base[p])
-                from_others = arrived - int(plan.counts[p, p])
-                if from_others:
-                    machine.charge_copyops(p, from_others, category)
-        else:  # remap
-            for p in machine.ranks():
-                if plan.send_idx[p].size:
-                    machine.charge_copyops(p, plan.send_idx[p].size,
-                                           category)
-            machine.exchange_compiled(
-                plan.counts,
-                [row_nbytes(np.asarray(d)) for d in bind.sources],
-                tag="remap_data", category=category,
-            )
-            for p in machine.ranks():
-                if plan.place_idx[p].size:
-                    machine.charge_copyops(p, plan.place_idx[p].size,
-                                           category)
+        return
+    # gather and remap pack send selections and place arrivals; scatter
+    # runs the same plan backwards
+    if stage.kind == "scatter":
+        pre, post, counts = plan.place_idx, plan.send_idx, plan.counts.T
+    else:
+        pre, post, counts = plan.send_idx, plan.place_idx, plan.counts
+    for p in ranks:
+        if pre[p].size:
+            machine.charge_copyops(p, pre[p].size, category)
+    machine.exchange_compiled(
+        counts, [row_nbytes(np.asarray(a)) for a in bind.sources],
+        tag=_EXCHANGE_TAGS[stage.kind], category=category,
+    )
+    for p in ranks:
+        if post[p].size:
+            machine.charge_copyops(p, post[p].size, category)

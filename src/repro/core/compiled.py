@@ -30,15 +30,17 @@ schedule + lightweight + remap sequence in one loop body) into one
 combined execution — a single scratch stream per stage plus one
 pack/permute/apply index triple each, all lazily derived from the
 per-plan caches above and cached on the lead plan alongside the
-``_cached`` compile results.  Backends execute it through
-``Backend.run_fused``; legality is decided by the executor layer
-(:func:`repro.core.executor.fusable`).
+``_cached`` compile results.  ``Backend.run_fused`` is the backends'
+whole executor protocol: every collective, fused chain or single
+primitive, runs as a :class:`FusedPlan`.  Legality of multi-stage chains
+is decided by the executor layer (:func:`repro.core.executor.fusable`).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -384,33 +386,40 @@ def _sort_segments(
     """Sort each rank's ``(src, dst)`` index pairs by destination.
 
     ``base`` is the row-offset vector delimiting rank segments in the
-    stream (``recv_base`` or ``send_base``).  The per-segment argsort is
-    stable so duplicate destinations keep stream order; a fancy assign
-    through the sorted pair is therefore bitwise-identical to the
-    unsorted one.  Returns ``(sorted_src, sorted_dst)``; ``sorted_dst``
-    is ``None`` when every segment is dense (``0..len-1`` in order), in
-    which case the apply collapses to one contiguous write per rank.
+    stream (``recv_base`` or ``send_base``).  A segment whose
+    destinations are unique (ghost slots, remap placements) is ordered by
+    one counting pass; one with duplicate destinations (overwrite
+    scatters of elements several ranks referenced) falls back to a
+    stable argsort, so duplicates keep stream order and a fancy assign
+    through the sorted pair is bitwise-identical to the unsorted one.
+    Returns ``(sorted_src, sorted_dst)``; ``sorted_dst`` is ``None`` when
+    every segment is dense (``0..len-1`` in order), in which case the
+    apply collapses to one contiguous write per rank.
     """
     sf = np.empty_like(src)
     sp = np.empty_like(dst)
     dense = True
     for p in range(base.size - 1):
         lo, hi = int(base[p]) * k, int(base[p + 1]) * k
+        n = hi - lo
+        if n == 0:
+            continue
         seg_dst = dst[lo:hi]
-        order = np.argsort(seg_dst, kind="stable")
-        seg = seg_dst[order]
-        sp[lo:hi] = seg
+        top = int(seg_dst.max()) + 1
+        inv = np.full(top, -1, dtype=np.int64)
+        inv[seg_dst] = np.arange(n, dtype=np.int64)
+        hit = inv >= 0
+        order = inv[hit]
+        if order.size == n:
+            # unique destinations: the slot-ordered positions, and the
+            # occupied slots themselves, in ascending order
+            sp[lo:hi] = np.flatnonzero(hit)
+            dense = dense and top == n
+        else:
+            order = np.argsort(seg_dst, kind="stable")
+            sp[lo:hi] = seg_dst[order]
+            dense = False
         sf[lo:hi] = src[lo:hi][order]
-        if dense:
-            n = hi - lo
-            dense = (
-                n == 0
-                or (
-                    int(seg[0]) == 0
-                    and int(seg[-1]) == n - 1
-                    and np.array_equal(seg, np.arange(n, dtype=seg.dtype))
-                )
-            )
     return sf, (None if dense else sp)
 
 
@@ -503,15 +512,15 @@ FORWARD_KINDS = frozenset({"gather", "append", "remap"})
 STAGE_KINDS = FORWARD_KINDS | {"scatter"}
 
 
-@dataclass(frozen=True)
-class FusedStage:
+class FusedStage(NamedTuple):
     """One collective inside a fused pipeline.
 
     ``kind`` names the executor primitive (``"gather"``, ``"scatter"``
     — with ``op`` for the combining variant — ``"append"``,
     ``"remap"``); ``sched`` is the CSR-native plan object the reference
     backends dispatch on, ``plan`` its compiled machine-wide view, and
-    ``op`` the combining ufunc for scatter stages (``None`` overwrites).
+    ``op`` the combiner for scatter stages (``None`` overwrites).  A
+    named tuple: one is built per collective call.
     """
 
     kind: str
@@ -527,7 +536,10 @@ class StageBind:
     ``sources`` are the arrays the stage packs from (local data for the
     forward kinds, ghost buffers for scatter); ``dests`` are the arrays
     it writes into — ``None`` for the value-returning kinds (append,
-    remap), whose outputs the backend allocates.
+    remap), whose outputs the backend allocates.  An append stage moves
+    one or more aligned attribute sets over one set of messages, so its
+    ``sources`` is a list of per-rank sets (``sources[j][p]``) and its
+    result one new per-rank list per set.
     """
 
     sources: list
@@ -550,7 +562,7 @@ class _StageLayout:
     the ufunc's fold order bit for bit.
     """
 
-    __slots__ = ("mode", "dtype", "op", "bounds",
+    __slots__ = ("mode", "dtype", "op", "bounds", "row_bounds",
                  "src_index", "dst_index", "sf", "sp")
 
     def __init__(self, stage: FusedStage, k: int, dtype: np.dtype,
@@ -565,7 +577,7 @@ class _StageLayout:
             if stage.kind == "append":
                 self.dst_index = None
                 self.mode = "fill"
-                self.sf, self.sp = self.src_index, None
+                self.sf = self.sp = None
             else:
                 self.dst_index = plan.place_stream(k)
                 self.mode = "assign"
@@ -581,9 +593,10 @@ class _StageLayout:
             else:
                 self.mode = "accum"
                 self.sf = self.sp = None
-        # scalar stream bounds as a plain list: the apply kernel's rank
-        # loop slices with these every call
-        self.bounds = [int(b) * k for b in base.tolist()]
+        # scalar and row stream bounds as plain lists: the apply
+        # kernel's rank loop slices with these every call
+        self.row_bounds = base.tolist()
+        self.bounds = [int(b) * k for b in self.row_bounds]
 
 
 @dataclass
@@ -595,9 +608,9 @@ class FusedPlan:
     sequence — but a backend's fused executor moves each stage's data
     in a single composed pass (destination slots assigned straight from
     the flattened sources through one permutation), instead of one full
-    gather → exchange → apply round per phase.  Layouts (the per-stage
-    composed index vectors) are derived lazily per
-    ``(row width, dtype, source sizes)`` chain and cached for the
+    gather → exchange → apply round per phase.  Layouts (the composed
+    index vectors of every stage's source sets) are derived lazily per
+    chain of ``(row width, dtype, source sizes)`` keys and cached for the
     plan's lifetime, like the single-plan ``_layouts`` caches they
     borrow from.
     """
@@ -633,39 +646,43 @@ class FusedPlan:
         )
 
     def layout(self, key: tuple) -> list[_StageLayout]:
-        """Per-stage composed layouts for one ``((k, dtype, sizes), ...)``
-        key."""
+        """Composed layouts for one key holding, per stage, a tuple of
+        ``(k, dtype, sizes)`` — one per source set; the result is flat,
+        one layout per set, stage order then set order."""
         out = self._layouts.get(key)
         if out is None:
             out = [
                 _StageLayout(stage, k, np.dtype(dtype), sizes)
-                for stage, (k, dtype, sizes) in zip(self.stages, key)
+                for stage, sets in zip(self.stages, key)
+                for k, dtype, sizes in sets
             ]
             self._layouts[key] = out
         return out
 
 
 def compile_fused(stages) -> FusedPlan:
-    """Fused view of a stage chain; cached on the lead compiled plan.
+    """Fused view of a stage chain; its layouts are cached on the lead
+    compiled plan.
 
-    The cache key is the chain identity — plan object ids, kinds and
-    combiner names.  The cached :class:`FusedPlan` holds strong
-    references to every stage plan, so the ids cannot be recycled while
-    the entry is alive; a ``matches`` check guards against it anyway.
+    The cache key is the chain identity — kinds and the ids of plan
+    objects and combiners.  The entry holds only the layouts and weak
+    references to the other stages' plans: a plan's cache must not
+    reference the stages, which reference the plan, or every superseded
+    schedule would stay alive until the cyclic garbage collector runs.
+    A weak reference that no longer names the stage's plan (its id was
+    recycled) rebuilds the entry; a combiner's id cannot be recycled
+    while a layout built for it holds it.
     """
     stages = tuple(stages)
     lead = stages[0].plan
-    key = tuple(
-        (s.kind, id(s.plan),
-         None if s.op is None else getattr(s.op, "__name__", repr(s.op)))
-        for s in stages
-    )
+    key = tuple([(s.kind, id(s.plan), id(s.op)) for s in stages])
     cache = getattr(lead, _FUSED_CACHE_ATTR, None)
     if cache is None:
         cache = {}
         setattr(lead, _FUSED_CACHE_ATTR, cache)
-    fused = cache.get(key)
-    if fused is None or not fused.matches(stages):
-        fused = FusedPlan(stages=stages)
-        cache[key] = fused
-    return fused
+    entry = cache.get(key)
+    if entry is None or any(ref() is not s.plan
+                            for ref, s in zip(entry[0], stages[1:])):
+        entry = cache[key] = (
+            tuple(weakref.ref(s.plan) for s in stages[1:]), {})
+    return FusedPlan(stages=stages, _layouts=entry[1])

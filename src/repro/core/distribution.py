@@ -17,9 +17,27 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 
-def _as_index_array(indices) -> np.ndarray:
-    arr = np.asarray(indices, dtype=np.int64)
-    return arr
+def as_index_array(indices, what: str = "indices") -> np.ndarray:
+    """One index array as int64 — the ingest check of every index-taking
+    entry point.
+
+    Integer dtypes are accepted, floats only when every value is finite
+    and exactly integral.  Anything else raises :class:`TypeError`
+    naming ``what``, instead of silently truncating ``1.5`` to ``1``.
+    """
+    a = np.asarray(indices)
+    if a.dtype.kind == "f":
+        bad = ~np.isfinite(a) | (a != np.trunc(a))
+        if bad.any():
+            raise TypeError(
+                f"{what} must be integers; got non-integral value "
+                f"{float(a[bad].flat[0])!r}"
+            )
+    elif a.dtype.kind not in "iu":
+        raise TypeError(
+            f"{what} must be an integer array, got dtype {a.dtype}"
+        )
+    return a.astype(np.int64, copy=False)
 
 
 class Distribution(ABC):
@@ -52,7 +70,7 @@ class Distribution(ABC):
 
     # -- derived helpers ------------------------------------------------
     def check_indices(self, indices) -> np.ndarray:
-        arr = _as_index_array(indices)
+        arr = as_index_array(indices)
         if arr.size and (arr.min() < 0 or arr.max() >= self.n_global):
             bad = arr[(arr < 0) | (arr >= self.n_global)][0]
             raise IndexError(
@@ -181,7 +199,7 @@ class IrregularDistribution(Distribution):
     """
 
     def __init__(self, map_array, n_ranks: int):
-        owners = np.asarray(map_array, dtype=np.int64)
+        owners = as_index_array(map_array, "map array")
         if owners.ndim != 1:
             raise ValueError(f"map array must be 1-D, got shape {owners.shape}")
         super().__init__(owners.size, n_ranks)
@@ -224,7 +242,7 @@ class IrregularDistribution(Distribution):
         natural output).  Every global index must appear exactly once."""
         owners = np.full(n_global, -1, dtype=np.int64)
         for p, idx in enumerate(parts):
-            arr = np.asarray(idx, dtype=np.int64)
+            arr = as_index_array(idx, f"partition {p}")
             if arr.size and (arr.min() < 0 or arr.max() >= n_global):
                 raise IndexError(f"partition {p} contains out-of-range indices")
             if np.any(owners[arr] != -1):

@@ -13,24 +13,27 @@ can serve many schedules.
                the irregular-reduction path for ``x(ia(i)) += ...``.
 
 Every function takes an :class:`~repro.core.context.ExecutionContext`
-first; the context's *backend* (:mod:`repro.core.backends`) executes the
-transport: ``serial`` reproduces the historical pair-loop semantics,
-and ``vectorized`` (the default) executes a compiled flat plan with
-fused numpy operations.
+first.  **One executor path:** each primitive here — and
+:func:`~repro.core.lightweight.scatter_append[_multi]` and
+:func:`~repro.core.remap.remap_array` — is a one-stage
+:func:`run_pipeline` call.  :meth:`PipelinePhase._prepare` is the one
+place arguments are validated, and the context's backend
+(:mod:`repro.core.backends`) executes the chain through its one executor
+method, ``run_fused``: ``serial`` runs each stage through its per-pair
+reference primitive, and ``vectorized`` (the default) moves each stage
+with one composed flat kernel over the compiled plans.
 
 **Fused pipelines.**  Consecutive collectives in one loop body can run
-as a single fused pass: wrap each in a phase constructor
+as a single chain: wrap each in a phase constructor
 (:func:`gather_phase`, :func:`scatter_phase`, :func:`scatter_op_phase`,
 plus :func:`~repro.core.lightweight.append_phase` and
 :func:`~repro.core.remap.remap_phase`) and hand the chain to
-:func:`run_pipeline`.  When the chain is legal to fuse
-(:func:`fusable`: no stage reads an array another stage writes, only
-named-ufunc combiners) the backend executes one combined
-pack → permute → apply pipeline over the compiled plans
-(:func:`~repro.core.compiled.compile_fused`); otherwise — and on any
-backend without a one-pass implementation — it falls back to the
-reference phase-by-phase path.  Results, traffic and clocks are
-bitwise-identical either way.
+:func:`run_pipeline`.  When the chain is legal to fuse (:func:`fusable`:
+no stage reads an array another stage writes) the backend runs it as one
+:func:`~repro.core.compiled.compile_fused` plan, charging every stage
+before any data moves; otherwise each phase runs as its own one-stage
+chain, in order.  Results, traffic and clocks are bitwise-identical
+either way.
 """
 
 from __future__ import annotations
@@ -81,25 +84,8 @@ def gather(
     stacked (see :func:`stack_local_ghost`).
     """
     ctx = ensure_context(ctx, "gather")
-    machine = ctx.machine
-    machine.check_per_rank(data, "data")
-    if ghosts is None:
-        ghosts = allocate_ghosts(sched, data)
-    machine.check_per_rank(ghosts, "ghosts")
-    plan = compile_schedule(sched)
-    for p in machine.ranks():
-        if plan.send_max[p] >= np.asarray(data[p]).shape[0]:
-            raise IndexError(
-                f"rank {p}: schedule wants element {int(plan.send_max[p])} "
-                f"but local array has {np.asarray(data[p]).shape[0]}"
-            )
-        g = np.asarray(ghosts[p])
-        if g.shape[0] < sched.ghost_size[p]:
-            raise ValueError(
-                f"rank {p}: ghost buffer {g.shape[0]} < required "
-                f"{sched.ghost_size[p]}"
-            )
-    return ctx.backend.gather(ctx, sched, data, ghosts, category)
+    return run_pipeline(ctx, [gather_phase(sched, data, ghosts)],
+                        category)[0]
 
 
 def scatter(
@@ -116,9 +102,7 @@ def scatter(
     at ``sched.send_view(q, p)``.
     """
     ctx = ensure_context(ctx, "scatter")
-    ctx.machine.check_per_rank(data, "data")
-    ctx.machine.check_per_rank(ghosts, "ghosts")
-    ctx.backend.scatter(ctx, sched, data, ghosts, None, category)
+    run_pipeline(ctx, [scatter_phase(sched, data, ghosts)], category)
 
 
 def scatter_op(
@@ -131,18 +115,50 @@ def scatter_op(
 ) -> None:
     """Return ghost contributions and combine with ``op`` at the owner.
 
-    ``op`` must be a numpy ufunc with an ``.at`` method (``np.add``,
+    ``op`` must have a ufunc-style ``.at`` method (``np.add``,
     ``np.maximum``, ...); accumulation order across sources is by source
     rank, deterministic.  This implements irregular reductions: each rank
     accumulates into its ghost copy during the executor loop, then one
     ``scatter_op(np.add)`` folds all contributions into the owners.
     """
     ctx = ensure_context(ctx, "scatter_op")
-    if not hasattr(op, "at"):
-        raise TypeError(f"op {op!r} must be a ufunc with an .at method")
-    ctx.machine.check_per_rank(data, "data")
-    ctx.machine.check_per_rank(ghosts, "ghosts")
-    ctx.backend.scatter(ctx, sched, data, ghosts, op, category)
+    run_pipeline(ctx, [scatter_op_phase(sched, data, ghosts, op)],
+                 category)
+
+
+#: the combiners with a known identity — the value a reduction's ghost
+#: accumulators start at, so a slot no iteration touched folds into its
+#: owner as a no-op.  ±inf stands for the dtype's extreme value.
+REDUCTION_IDENTITIES = {
+    np.add: 0,
+    np.multiply: 1,
+    np.maximum: -np.inf,
+    np.minimum: np.inf,
+}
+
+
+def reduction_identity(op, dtype) -> np.generic:
+    """The identity of combiner ``op`` as a ``dtype`` scalar.
+
+    ``±inf`` becomes the integer dtype's extreme (``True``/``False`` for
+    bool).  An op outside :data:`REDUCTION_IDENTITIES` raises
+    :class:`TypeError`.
+    """
+    try:
+        value = REDUCTION_IDENTITIES[op]
+    except (KeyError, TypeError):
+        raise TypeError(
+            f"op {op!r} has no known identity; reductions support "
+            f"{', '.join(u.__name__ for u in REDUCTION_IDENTITIES)}"
+        ) from None
+    dtype = np.dtype(dtype)
+    if np.isinf(value) and dtype.kind in "biu":
+        if dtype.kind == "b":
+            value = value > 0
+        else:
+            info = np.iinfo(dtype)
+            value = info.max if value > 0 else info.min
+    return dtype.type(value)
 
 
 def stack_local_ghost(
@@ -181,23 +197,34 @@ class PipelinePhase:
     :func:`~repro.core.lightweight.append_phase`,
     :func:`~repro.core.remap.remap_phase`); ``sources`` are the arrays
     the stage reads, ``dests`` the arrays it writes (``None`` for the
-    value-returning kinds, whose outputs the backend allocates).
+    value-returning kinds, whose outputs the backend allocates).  An
+    append phase's ``sources`` is a tuple of aligned attribute sets
+    moved over one set of messages; ``multi`` makes its result the list
+    of new sets instead of the single new set.
     """
 
-    __slots__ = ("kind", "sched", "sources", "dests", "op")
+    __slots__ = ("kind", "sched", "sources", "dests", "op", "multi")
 
-    def __init__(self, kind, sched, sources, dests=None, op=None):
+    def __init__(self, kind, sched, sources, dests=None, op=None,
+                 multi=False):
         self.kind = kind
         self.sched = sched
         self.sources = sources
         self.dests = dests
         self.op = op
+        self.multi = multi
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"PipelinePhase({self.kind!r})"
 
+    def reads(self) -> list:
+        """Every array the phase reads."""
+        if self.kind == "append":
+            return [a for values in self.sources for a in values]
+        return list(self.sources)
+
     def _prepare(self, ctx) -> tuple[FusedStage, StageBind]:
-        """Validate like the unfused wrapper; compile the stage plan."""
+        """Validate the arguments; compile the stage plan."""
         machine = ctx.machine
         if self.kind == "gather":
             machine.check_per_rank(self.sources, "data")
@@ -206,16 +233,16 @@ class PipelinePhase:
             machine.check_per_rank(self.dests, "ghosts")
             plan = compile_schedule(self.sched)
             for p in machine.ranks():
-                if plan.send_max[p] >= np.asarray(self.sources[p]).shape[0]:
+                n = np.asarray(self.sources[p]).shape[0]
+                if plan.send_max[p] >= n:
                     raise IndexError(
                         f"rank {p}: schedule wants element "
-                        f"{int(plan.send_max[p])} but local array has "
-                        f"{np.asarray(self.sources[p]).shape[0]}"
+                        f"{int(plan.send_max[p])} but local array has {n}"
                     )
-                g = np.asarray(self.dests[p])
-                if g.shape[0] < self.sched.ghost_size[p]:
+                g = np.asarray(self.dests[p]).shape[0]
+                if g < self.sched.ghost_size[p]:
                     raise ValueError(
-                        f"rank {p}: ghost buffer {g.shape[0]} < required "
+                        f"rank {p}: ghost buffer {g} < required "
                         f"{self.sched.ghost_size[p]}"
                     )
             return (FusedStage("gather", self.sched, plan),
@@ -231,27 +258,37 @@ class PipelinePhase:
             return (FusedStage("scatter", self.sched, plan, op=self.op),
                     StageBind(self.sources, self.dests))
         if self.kind == "append":
-            machine.check_per_rank(self.sources, "values")
+            for j, values in enumerate(self.sources):
+                machine.check_per_rank(
+                    values, f"arrays[{j}]" if self.multi else "values")
             plan = compile_lightweight_schedule(self.sched)
             for p in machine.ranks():
-                v = np.asarray(self.sources[p])
                 expected = plan.send_idx[p].size
-                if v.shape[0] != expected:
+                for j, values in enumerate(self.sources):
+                    got = np.asarray(values[p]).shape[0]
+                    if got == expected:
+                        continue
+                    if self.multi:
+                        raise ValueError(
+                            f"rank {p}, attribute {j}: {got} elements, "
+                            f"schedule covers {expected}"
+                        )
                     raise ValueError(
-                        f"rank {p}: values has {v.shape[0]} elements, "
+                        f"rank {p}: values has {got} elements, "
                         f"schedule covers {expected}"
                     )
             return (FusedStage("append", self.sched, plan),
-                    StageBind(self.sources))
+                    StageBind(list(self.sources)))
         if self.kind == "remap":
             machine.check_per_rank(self.sources, "data")
             plan = compile_remap_plan(self.sched)
             for p in machine.ranks():
-                if plan.send_max[p] >= np.asarray(self.sources[p]).shape[0]:
+                n = np.asarray(self.sources[p]).shape[0]
+                if plan.send_max[p] >= n:
                     raise IndexError(
                         f"rank {p}: remap plan wants element "
                         f"{int(plan.send_max[p])} but local array has "
-                        f"{np.asarray(self.sources[p]).shape[0]} rows"
+                        f"{n} rows"
                     )
             return (FusedStage("remap", self.sched, plan),
                     StageBind(self.sources))
@@ -300,30 +337,22 @@ def _root(a: np.ndarray) -> np.ndarray:
 def fusable(phases) -> tuple[bool, str]:
     """Whether a phase chain is legal to fuse; ``(ok, reason)``.
 
-    Legality rules (conservative — a ``False`` here only means the
-    chain runs phase-by-phase instead):
-
-    * combiners must be *named numpy ufuncs* (``np.add``, ...), the only
-      ops every backend can apply;
-    * no stage may *read* an array any stage *writes* (compared by
-      owning memory): the fused executor packs every stage's sources
-      before applying any stage, so a later stage reading an earlier
-      stage's output would see stale data.  Stages may freely *write*
-      the same target (even all of them): the apply pass runs ranks
-      outer, stages inner, preserving the sequential stage order per
-      array.
+    The one legality rule (conservative — a ``False`` here only means
+    the chain runs phase-by-phase instead): no stage may *read* an array
+    any stage *writes* (compared by owning memory).  A backend's
+    ``run_fused`` may pack every stage's sources before applying any
+    stage, so a later stage reading an earlier stage's output could see
+    stale data.  Stages may freely *write* the same target (even all of
+    them): stages apply in chain order.  A one-stage chain is always
+    legal — its sources are packed before it writes — so
+    :func:`run_pipeline` only asks about longer chains.
     """
     writes = set()
     for phase in phases:
-        if phase.op is not None and not (
-            isinstance(phase.op, np.ufunc)
-            and getattr(np, phase.op.__name__, None) is phase.op
-        ):
-            return False, "combiner is not a named numpy ufunc"
         for d in phase.dests or ():
             writes.add(id(_root(d)))
     for phase in phases:
-        for s in phase.sources:
+        for s in phase.reads():
             if id(_root(s)) in writes:
                 return False, "a stage reads an array another stage writes"
     return True, ""
@@ -360,12 +389,12 @@ def run_pipeline(
 ) -> list:
     """Run a chain of collectives, fused into one pass where legal.
 
-    Returns one result per phase, matching the unfused primitives:
-    the ghost arrays for gather, ``None`` for scatter/scatter_op, fresh
-    per-rank arrays for append/remap.  When :func:`fusable` rejects the
-    chain the phases run through their ordinary primitives in order —
-    results, traffic and clocks are identical either way; fusion only
-    changes how fast the data moves.
+    Returns one result per phase, matching the primitives: the ghost
+    arrays for gather, ``None`` for scatter/scatter_op, fresh per-rank
+    arrays for append/remap.  Every phase is validated before any data
+    moves.  When :func:`fusable` rejects the chain, each phase runs as
+    its own one-stage chain, in order — results, traffic and clocks are
+    identical either way; fusion only changes how fast the data moves.
 
     ``loop_id`` keys the chain's :class:`~repro.core.compiled.FusedPlan`
     through the context's schedule cache (under
@@ -383,13 +412,16 @@ def run_pipeline(
         stage, bind = phase._prepare(ctx)
         stages.append(stage)
         binds.append(bind)
-    ok, _reason = fusable(phases)
-    if ok:
-        fused = _fused_for(ctx, stages, loop_id)
-        return ctx.backend.run_fused(ctx, fused, binds, category)
-    # illegal chain: the reference multi-pass path, explicitly through
-    # the base implementation so one-pass overrides are bypassed
-    from repro.core.backends.base import Backend
-    return Backend.run_fused(ctx.backend, ctx,
-                             FusedPlan(stages=tuple(stages)), binds,
-                             category)
+    backend = ctx.backend
+    if len(phases) == 1 or fusable(phases)[0]:
+        out = backend.run_fused(ctx, _fused_for(ctx, stages, loop_id),
+                                binds, category)
+    else:
+        out = []
+        for stage, bind in zip(stages, binds):
+            out += backend.run_fused(ctx, compile_fused((stage,)), [bind],
+                                     category)
+    for i, phase in enumerate(phases):
+        if phase.kind == "append" and not phase.multi:
+            out[i] = out[i][0]
+    return out

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.context import ensure_context
+from repro.core.distribution import as_index_array
 from repro.core.hashtable import IndexHashTable, StampExpr, StampRegistry
 from repro.core.translation import TranslationTable
 
@@ -63,33 +64,12 @@ def make_hash_tables(
 
 
 def as_index_arrays(arrays: list, what: str) -> list[np.ndarray]:
-    """Per-rank index arrays as int64 (``None`` is an empty array).
-
-    The shared ingest of every index-taking entry point: integer dtypes
-    are accepted, floats only when every value is exactly integral.
-    Anything else raises :class:`TypeError` naming the argument and the
-    rank, instead of silently truncating ``1.5`` to ``1``.
-    """
-    out = []
-    for p, x in enumerate(arrays):
-        if x is None:
-            out.append(np.zeros(0, dtype=np.int64))
-            continue
-        a = np.asarray(x)
-        if a.dtype.kind == "f":
-            bad = ~np.isfinite(a) | (a != np.trunc(a))
-            if bad.any():
-                raise TypeError(
-                    f"{what} on rank {p} must be integers; got non-integral "
-                    f"value {float(a[bad].flat[0])!r}"
-                )
-        elif a.dtype.kind not in "iu":
-            raise TypeError(
-                f"{what} on rank {p} must be an integer array, got dtype "
-                f"{a.dtype}"
-            )
-        out.append(a.astype(np.int64, copy=False))
-    return out
+    """Per-rank index arrays as int64 (``None`` is an empty array),
+    each through :func:`~repro.core.distribution.as_index_array`, whose
+    errors name the argument and the rank."""
+    return [np.zeros(0, dtype=np.int64) if x is None
+            else as_index_array(x, f"{what} on rank {p}")
+            for p, x in enumerate(arrays)]
 
 
 def chaos_hash(

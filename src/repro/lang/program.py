@@ -33,7 +33,12 @@ from repro.core.distribution import (
     Distribution,
     IrregularDistribution,
 )
-from repro.core.executor import gather, scatter_op, stack_local_ghost
+from repro.core.executor import (
+    gather,
+    reduction_identity,
+    scatter_op,
+    stack_local_ghost,
+)
 from repro.core.inspector import chaos_hash, clear_stamp, make_hash_tables
 from repro.core.iteration import partition_iterations, split_by_block
 from repro.core.lightweight import build_lightweight_schedule, scatter_append
@@ -68,11 +73,12 @@ from repro.lang.plans import AppendPlan, LocalPlan, ReductionPlan
 #: monotonically increasing ProgramInstance ids for cache scoping
 _PROGRAM_COUNTER = itertools.count()
 
+#: REDUCE op name -> combiner (identities: ``reduction_identity``)
 _REDUCE_OPS = {
-    "SUM": (np.add, 0.0),
-    "MAX": (np.maximum, -np.inf),
-    "MIN": (np.minimum, np.inf),
-    "PROD": (np.multiply, 1.0),
+    "SUM": np.add,
+    "MAX": np.maximum,
+    "MIN": np.minimum,
+    "PROD": np.multiply,
 }
 
 _INTRINSICS = {
@@ -705,14 +711,13 @@ class ProgramInstance:
                     raise ExecutionError(f"unsupported REDUCE op {stmt.op}",
                                          stmt.line)
                 prev = ops.get(stmt.target.name)
-                if prev is not None and prev is not _REDUCE_OPS[stmt.op][0]:
+                if prev is not None and prev is not _REDUCE_OPS[stmt.op]:
                     raise ExecutionError(
                         "mixed reduction ops on one target", stmt.line
                     )
-                ops[stmt.target.name] = _REDUCE_OPS[stmt.op][0]
+                ops[stmt.target.name] = _REDUCE_OPS[stmt.op]
         for name in target_names:
-            ufunc = ops[name]
-            identity = next(v for u, v in _REDUCE_OPS.values() if u is ufunc)
+            identity = reduction_identity(ops[name], np.float64)
             locs = self.local[name]
             acc[name] = [
                 np.full(locs[p].shape[0] + sched.ghost_size[p], identity,
@@ -1008,7 +1013,7 @@ def interpret_sequential(compiled: CompiledProgram,
         # with the inner variable's positions.
         for stmt in nest.statements:
             if isinstance(stmt, Reduce):
-                ufunc, _ = _REDUCE_OPS[stmt.op]
+                ufunc = _REDUCE_OPS[stmt.op]
                 tgt_idx = ref_index(stmt.target, idx_env)
                 contrib = eval_expr(stmt.value, idx_env)
                 if np.ndim(contrib) == 0:

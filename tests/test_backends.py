@@ -193,6 +193,27 @@ def test_noncontiguous_inputs_fall_back_and_match(rng):
     for p in range(4):
         assert np.array_equal(g_serial[p], g_vec[p])
 
+    # every stage kind takes the same fallback: a strided combining
+    # scatter, and an append whose second attribute set is strided
+    lw = build_lightweight_schedule(
+        ExecutionContext.resolve(m, "serial"),
+        [rng.integers(0, 4, a.shape[0]) for a in x.local])
+    ids = [np.arange(a.shape[0]) for a in x.local]
+    out = {}
+    for backend in ("serial", "vectorized"):
+        ctx = ExecutionContext.resolve(m, backend)
+        data = [np.ones_like(a)[:, ::2] for a in x.local]
+        m.reset_traffic()
+        scatter_op(ctx, sched, data, g_serial, np.add)
+        moved = scatter_append_multi(ctx, lw, [ids, strided])
+        out[backend] = (data, moved, m.traffic.snapshot())
+    (d_s, mv_s, t_s), (d_v, mv_v, t_v) = out["serial"], out["vectorized"]
+    assert t_s == t_v
+    for p in range(4):
+        assert np.array_equal(d_s[p], d_v[p])
+        for k in range(2):
+            assert np.array_equal(mv_s[k][p], mv_v[k][p])
+
 
 def test_integer_data_equivalence(rng):
     m_s, m_v = Machine(4), Machine(4)

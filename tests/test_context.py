@@ -16,8 +16,9 @@ down its contract:
 * serial and vectorized contexts stay *bitwise equal* end-to-end on the
   CHARMM, DSMC and compiled-program pipelines (results, inspector
   output and traffic);
-* no kwarg threading or resurrected deprecated call site survives under
-  ``src/repro/{core,lang,apps}`` (the same scan the CI lint gate runs).
+* no kwarg threading, resurrected deprecated call site or per-primitive
+  backend dispatch survives under ``src/repro/{core,lang,apps}`` (the
+  same scan the CI lint gate runs).
 """
 
 import dataclasses
@@ -411,13 +412,48 @@ class TestEndToEndEquivalence:
 # ---------------------------------------------------------------------
 # seam gate: zero legacy call sites under src/
 # ---------------------------------------------------------------------
-def test_no_legacy_call_sites_under_src():
-    """The acceptance grep, executable: no ``backend=`` threading outside
-    the context shim module, no nested pair-accessor call site outside
-    the three plan modules that define them."""
+def _seam_gate():
     tools = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "tools", "check_context_seam.py")
     spec = importlib.util.spec_from_file_location("check_context_seam", tools)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    assert mod.scan() == []
+    return mod
+
+
+def test_no_legacy_call_sites_under_src():
+    """The acceptance grep, executable: no ``backend=`` threading outside
+    the context shim module, no nested pair-accessor call site outside
+    the three plan modules that define them, no per-primitive backend
+    dispatch outside the serial oracle."""
+    assert _seam_gate().scan() == []
+
+
+def test_seam_gate_flags_per_primitive_dispatch(tmp_path):
+    """Calling a backend's per-pair primitive is a violation everywhere
+    except in the serial module itself."""
+    lines = {
+        "src/repro/core/executor.py":
+            "    return ctx.backend.gather(ctx, sched, data, g, cat)\n",
+        "src/repro/core/backends/vectorized.py":
+            "        return _serial().scatter_append(ctx, s, v, cat)\n"
+            "        self.remap_array(ctx, plan, data, cat)\n",
+        "src/repro/lang/program.py":
+            "    get_backend('serial').scatter(ctx, s, d, g, None, c)\n"
+            "    await asyncio.gather(*tasks)\n"
+            "    self.rt.gather(sched, x)\n",
+        "src/repro/core/backends/serial.py":
+            "        out.append(self.gather(ctx, s, d, g, cat))\n",
+    }
+    for rel, text in lines.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    flagged = sorted(p.split(":")[0] + ":" + p.split(":")[1]
+                     for p in _seam_gate().scan(str(tmp_path)))
+    assert flagged == [
+        "src/repro/core/backends/vectorized.py:1",
+        "src/repro/core/backends/vectorized.py:2",
+        "src/repro/core/executor.py:1",
+        "src/repro/lang/program.py:1",
+    ]

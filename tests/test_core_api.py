@@ -6,10 +6,14 @@ import pytest
 from repro.core import (
     ChaosRuntime,
     DistributedArray,
+    ExecutionContext,
     IrregularReduction,
+    reduction_identity,
     split_by_block,
 )
 from repro.sim import Machine
+
+from conftest import ALL_BACKENDS
 
 
 class TestDistributedArray:
@@ -97,6 +101,47 @@ class TestIrregularReduction:
         expected = x_g.copy()
         np.add.at(expected, ia_g, y_g[ib_g])
         assert np.allclose(x.to_global(), expected)
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("op", [np.maximum, np.minimum, np.multiply])
+    def test_non_additive_reduction(self, backend, op):
+        """Ghost accumulators start at the op's identity: an all-negative
+        max (or any multiply) must not fold a 0.0 into the owners.
+        Powers of two keep every product exact in any order."""
+        rng = np.random.default_rng(11)
+        n, e, p = 40, 120, 4
+        m = Machine(p)
+        rt = ChaosRuntime(ExecutionContext.resolve(m, backend))
+        tt = rt.irregular_table(rng.integers(0, p, n))
+        x_g = -(2.0 ** rng.integers(-2, 3, n))
+        y_g = -(2.0 ** rng.integers(-2, 3, n))
+        ia_g = rng.integers(0, n, e)
+        ib_g = rng.integers(0, n, e)
+        x = rt.distribute(x_g, tt)
+        y = rt.distribute(y_g, tt)
+        loop = IrregularReduction(rt, tt, "L").bind(
+            ia=split_by_block(ia_g, m), ib=split_by_block(ib_g, m)
+        )
+        loop.setup()
+        loop.execute(x, "ia", lambda v: v, {"y": (y, "ib")}, op=op)
+        expected = x_g.copy()
+        op.at(expected, ia_g, y_g[ib_g])
+        assert np.array_equal(x.to_global(), expected)
+
+    def test_op_without_identity_rejected_before_traffic(self, rng):
+        m, rt, tt, x_g, y_g, ia_g, ib_g = self.make(rng)
+        x = rt.distribute(x_g, tt)
+        y = rt.distribute(y_g, tt)
+        loop = IrregularReduction(rt, tt, "L").bind(
+            ia=split_by_block(ia_g, m), ib=split_by_block(ib_g, m)
+        )
+        loop.setup()
+        messages = m.traffic.n_messages
+        with pytest.raises(TypeError, match="no known identity"):
+            loop.execute(x, "ia", lambda v: v, {"y": (y, "ib")},
+                         op=np.subtract)
+        assert m.traffic.n_messages == messages
+        assert np.array_equal(x.to_global(), x_g)
 
     def test_executes_repeatedly_with_one_schedule(self, rng):
         m, rt, tt, x_g, y_g, ia_g, ib_g = self.make(rng)
@@ -216,3 +261,22 @@ class TestIrregularReduction:
         loop.setup()
         loop.execute(x, "ia", lambda v: 2 * v, {"y": (y, "ib")})
         assert np.allclose(x.to_global(), 2.0)
+
+
+@pytest.mark.parametrize("op,dtype,expected", [
+    (np.add, np.float64, 0.0),
+    (np.multiply, np.int32, 1),
+    (np.maximum, np.float32, -np.inf),
+    (np.minimum, np.float64, np.inf),
+    (np.maximum, np.int16, np.iinfo(np.int16).min),
+    (np.minimum, np.uint8, 255),
+    (np.maximum, np.bool_, False),
+    (np.minimum, np.bool_, True),
+])
+def test_reduction_identity(op, dtype, expected):
+    value = reduction_identity(op, dtype)
+    assert value.dtype == np.dtype(dtype)
+    assert value == expected
+    # an identity: folding it into any value leaves the value unchanged
+    sample = np.array([3, 0, 1], dtype=dtype)
+    assert np.array_equal(op(sample, value), sample)

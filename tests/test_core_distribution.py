@@ -178,3 +178,44 @@ class TestIrregular:
         blk = BlockDistribution(6, 2)
         irr = IrregularDistribution([0, 0, 0, 1, 1, 1], 2)
         assert blk == irr
+
+
+class TestIndexIngest:
+    """Float indices are accepted only when exactly integral — never
+    truncated (``1.5`` is an error, not element 1)."""
+
+    def test_block_owner_rejects_fractional(self):
+        with pytest.raises(TypeError, match="non-integral value 1.5"):
+            BlockDistribution(10, 3).owner([1.5, 8.9])
+
+    def test_irregular_map_rejects_fractional(self):
+        with pytest.raises(TypeError, match="map array"):
+            IrregularDistribution([0., 1.5, 2.9, 1.], 3)
+
+    def test_partition_lists_reject_fractional(self):
+        with pytest.raises(TypeError, match="partition 1"):
+            IrregularDistribution.from_partition_lists(
+                [np.array([0, 3]), np.array([1., 2.5])], 4
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(TypeError):
+            CyclicDistribution(10, 3).local_index([1.0, bad])
+
+    def test_non_numeric_rejected(self):
+        with pytest.raises(TypeError, match="dtype"):
+            BlockDistribution(10, 3).owner(np.array(["1"]))
+
+    def test_integral_floats_match_ints(self):
+        blk = BlockDistribution(10, 3)
+        assert np.array_equal(blk.owner([1., 8.]), blk.owner([1, 8]))
+        assert np.array_equal(blk.local_index(np.array([9.0])),
+                              blk.local_index([9]))
+        irr = IrregularDistribution([0., 1., 2., 1.], 3)
+        assert np.array_equal(irr.to_map_array(), [0, 1, 2, 1])
+        assert irr.to_map_array().dtype == np.int64
+        parts = IrregularDistribution.from_partition_lists(
+            [np.array([0., 3.]), np.array([1., 2.])], 4
+        )
+        assert np.array_equal(parts.to_map_array(), [0, 1, 1, 0])

@@ -14,7 +14,12 @@ deleted.  It scans ``src/repro/{core,lang,apps}`` and fails when:
   mentioned anywhere — they no longer exist, so any occurrence is a
   resurrection;
 * the deleted shim machinery (``_UNSET`` sentinel, ``_warn_legacy``)
-  reappears anywhere.
+  reappears anywhere;
+* a per-primitive backend method (``gather``, ``scatter``,
+  ``scatter_append``, ``scatter_append_multi``, ``remap_array``) is
+  called on a backend anywhere outside the serial reference module:
+  every collective reaches a backend through ``run_fused``, and only
+  ``SerialBackend.run_fused`` dispatches to its own per-pair oracle.
 
 Run from the repository root (CI lint job)::
 
@@ -47,6 +52,18 @@ _RESURRECTED = re.compile(
     r"|_warn_legacy|_UNSET)\b"
 )
 
+#: the one module whose backend may call its own per-pair primitives
+SERIAL_MODULE = "src/repro/core/backends/serial.py"
+_PRIMITIVES = r"\.(?:gather|scatter|scatter_append|scatter_append_multi|remap_array)\("
+#: a primitive called on a backend: ``ctx.backend.gather(``,
+#: ``get_backend("serial").scatter(``, ``_serial().remap_array(``
+_BACKEND_PRIMITIVE = re.compile(
+    r"(?:\w*backend\w*(?:\([^()]*\))?|\b_serial\(\))" + _PRIMITIVES,
+    re.IGNORECASE,
+)
+#: inside the backend package ``self`` is a backend too
+_SELF_PRIMITIVE = re.compile(r"\bself" + _PRIMITIVES)
+
 
 def scan(root: str = REPO_ROOT) -> list[str]:
     problems: list[str] = []
@@ -71,6 +88,15 @@ def scan(root: str = REPO_ROOT) -> list[str]:
                             problems.append(
                                 f"{rel}:{lineno}: resurrected deprecated "
                                 f"surface (deleted in PR 5): {line.strip()}"
+                            )
+                        if rel != SERIAL_MODULE and (
+                                _BACKEND_PRIMITIVE.search(line)
+                                or (rel.startswith("src/repro/core/backends/")
+                                    and _SELF_PRIMITIVE.search(line))):
+                            problems.append(
+                                f"{rel}:{lineno}: per-primitive backend "
+                                f"dispatch outside the serial oracle (call "
+                                f"run_fused): {line.strip()}"
                             )
     return problems
 
